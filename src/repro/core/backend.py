@@ -40,7 +40,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from math import sqrt
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Type, Union
 
 from repro.core.config import CoreConfig
 from repro.core.pipeline import Simulator
@@ -70,10 +70,10 @@ __all__ = [
 class KernelBackend(ABC):
     """How a simulation cell is executed.
 
-    Subclasses provide :meth:`build` (construct the simulator) and may
-    override :meth:`run` (drive it).  ``exact`` declares bit-identical
-    equivalence with ``reference`` — a claim the backend test matrix
-    enforces, not a hint.
+    Subclasses name their :attr:`simulator_class` (which :meth:`build`
+    constructs) and may override :meth:`run` (drive it).  ``exact``
+    declares bit-identical equivalence with ``reference`` — a claim the
+    backend test matrix enforces, not a hint.
     """
 
     #: Registry name (also the default cache token).
@@ -89,7 +89,12 @@ class KernelBackend(ABC):
         """Cache-key token: folds every behaviour-relevant parameter."""
         return self.name
 
+    @property
     @abstractmethod
+    def simulator_class(self) -> Type[Simulator]:
+        """The :class:`Simulator` class this backend builds (part of a
+        warm key: its generators are part of the warmed state)."""
+
     def build(
         self,
         config: CoreConfig,
@@ -97,6 +102,7 @@ class KernelBackend(ABC):
         seed: int = 0,
     ) -> Simulator:
         """Construct the simulator this backend drives."""
+        return self.simulator_class(config, profiles, seed=seed)
 
     def run(
         self,
@@ -117,9 +123,7 @@ class ReferenceBackend(KernelBackend):
 
     name = "reference"
     exact = True
-
-    def build(self, config, profiles, seed: int = 0) -> Simulator:
-        return Simulator(config, profiles, seed=seed)
+    simulator_class = Simulator
 
 
 class OptimizedBackend(KernelBackend):
@@ -128,10 +132,11 @@ class OptimizedBackend(KernelBackend):
     name = "optimized"
     exact = True
 
-    def build(self, config, profiles, seed: int = 0) -> Simulator:
+    @property
+    def simulator_class(self) -> Type[Simulator]:
         from repro.core.fastsim import OptimizedSimulator
 
-        return OptimizedSimulator(config, profiles, seed=seed)
+        return OptimizedSimulator
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +278,7 @@ class SampledBackend(KernelBackend):
             f"+{self.window_warmup}"
         )
 
-    def build(self, config, profiles, seed: int = 0) -> Simulator:
-        from repro.core.fastsim import OptimizedSimulator
-
-        return OptimizedSimulator(config, profiles, seed=seed)
+    simulator_class = OptimizedBackend.simulator_class
 
     def run(
         self,

@@ -83,6 +83,49 @@ _FRONTEND_LIMIT = 64
 #: Cycles without a retire before the simulator declares a deadlock.
 _DEADLOCK_WINDOW = 50_000
 
+#: What functional warmup trains (:meth:`Simulator._functional_stream`)
+#: and a warm snapshot therefore carries.  Each shared structure is
+#: built from the ``CoreConfig`` field of the same name, so these are
+#: also the only config fields a warm key folds in.
+WARMED_STRUCTURES = ("hierarchy", "predictor", "btb", "line_predictor")
+#: The per-hardware-thread part of the warmed state: stream position,
+#: return stack and next-line history (the replay queue is empty after
+#: warmup but belongs to the stream).
+WARMED_THREAD_STATE = ("generator", "ras", "last_taken_pc", "replay")
+
+
+def _pickle_by_attribute(state) -> bytes:
+    """Pickle ``state`` so that the simulator's own plain objects are
+    rebuilt attribute by attribute.
+
+    Plain pickling restores an instance by writing into its
+    ``__dict__``, which leaves CPython 3.11+ with a materialised dict
+    and slower attribute access for the rest of the object's life (on
+    CPython 3.11, detailed simulation after such a restore ran about
+    13 % slower: int_test, reference kernel).  Setting each attribute
+    keeps the compact layout that ``__init__`` gives a fresh object.
+    """
+    import copyreg
+    import io
+    import pickle
+
+    class _Pickler(pickle.Pickler):
+        def reducer_override(self, obj):
+            cls = type(obj)
+            if (
+                cls.__module__.split(".")[0] != "repro"
+                or not hasattr(obj, "__dict__")
+                or cls.__setattr__ is not object.__setattr__
+                or cls.__reduce_ex__ is not object.__reduce_ex__
+            ):
+                return NotImplemented
+            # (None, attributes): the unpickler setattr()s each one
+            return copyreg.__newobj__, (cls,), (None, obj.__dict__)
+
+    buffer = io.BytesIO()
+    _Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(state)
+    return buffer.getvalue()
+
 
 class _ThreadState:
     """All per-hardware-thread pipeline state."""
@@ -144,6 +187,9 @@ class Simulator:
         if not profiles:
             raise ValueError("at least one workload profile is required")
         self.config = config
+        self.seed = seed
+        #: the resolved per-thread workload entries (warm-key material)
+        self._entries = list(profiles)
         self.stats = CoreStats(threads=[ThreadStats() for _ in profiles])
         self.regfile = PhysRegFile(config.num_pregs)
         self.hierarchy = MemoryHierarchy(config.hierarchy)
@@ -1120,6 +1166,90 @@ class Simulator:
                         self.hierarchy.load(op.address)
                     else:
                         self.hierarchy.store(op.address)
+
+    @classmethod
+    def warm_key(
+        cls, config: CoreConfig, signature: str, seed: int, ops_per_thread: int
+    ) -> str:
+        """Identity of the state ``functional_warmup(ops_per_thread)``
+        trains on ``config`` for a workload with content ``signature``
+        (:func:`repro.scenarios.workload_signature`).
+
+        It folds in the stream (workload content, seed, op count), this
+        simulator class (its generators are part of the state) and the
+        :data:`WARMED_STRUCTURES` config fields — nothing else.  The
+        swept loop knobs (rf latency, DRA, ports, recovery, IQ) never
+        touch the warmed structures, so cells differing only in them
+        share one key.
+        """
+        import hashlib
+
+        parts = [
+            f"{cls.__module__}.{cls.__qualname__}",
+            signature,
+            str(seed),
+            str(ops_per_thread),
+            *(repr(getattr(config, name)) for name in WARMED_STRUCTURES),
+        ]
+        return hashlib.sha256("|".join(parts).encode("utf-8")).hexdigest()
+
+    def _own_warm_key(self, ops_per_thread: int) -> str:
+        from repro.scenarios.base import entries_signature
+
+        return self.warm_key(
+            self.config, entries_signature(self._entries), self.seed,
+            ops_per_thread,
+        )
+
+    def snapshot_warmup(self, ops_per_thread: int) -> bytes:
+        """Run :meth:`functional_warmup` and return the trained state.
+
+        The bytes pickle the pair (warm key, pickled state); hand them
+        to :meth:`restore_warmup` on any simulator with the same key.
+        """
+        import pickle
+
+        self.functional_warmup(ops_per_thread)
+        state = (
+            [getattr(self, name) for name in WARMED_STRUCTURES],
+            [
+                [getattr(thread, name) for name in WARMED_THREAD_STATE]
+                for thread in self.threads
+            ],
+        )
+        return pickle.dumps(
+            (self._own_warm_key(ops_per_thread), _pickle_by_attribute(state))
+        )
+
+    def restore_warmup(self, snapshot: bytes, ops_per_thread: int) -> None:
+        """Stand-in for ``functional_warmup(ops_per_thread)``: install
+        a :meth:`snapshot_warmup` result.
+
+        Raises :class:`~repro.errors.ConfigError` when the snapshot was
+        taken under another warm key.  Every call unpickles afresh, so
+        one snapshot restores into any number of simulators.  (Copying
+        with ``copy.deepcopy`` instead would leave the fast generator's
+        cached ``rng.random``/``rng.getrandbits`` bound to the original
+        RNG.)
+        """
+        import pickle
+
+        if self.cycle != 0 or self.retired != 0:
+            raise RuntimeError("warm-state restore must precede detailed simulation")
+        key, state = pickle.loads(snapshot)
+        if key != self._own_warm_key(ops_per_thread):
+            raise ConfigError(
+                "warm snapshot was taken for another workload, seed, "
+                "warmup length, simulator class or memory/branch "
+                "configuration"
+            )
+        shared, threads = pickle.loads(state)
+        for name, value in zip(WARMED_STRUCTURES, shared):
+            setattr(self, name, value)
+        for thread, values in zip(self.threads, threads):
+            for name, value in zip(WARMED_THREAD_STATE, values):
+                setattr(thread, name, value)
+            thread._ops = thread.generator.stream()
 
     # --------------------------------------------------------------------- run
 

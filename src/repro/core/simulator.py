@@ -73,6 +73,7 @@ def simulate(
     obs=None,
     verifier=None,
     backend: Union[str, KernelBackend, None] = None,
+    warm: Optional[bytes] = None,
 ) -> SimResult:
     """Simulate ``workload`` on ``config`` and return the result.
 
@@ -115,29 +116,23 @@ def simulate(
         Verification requires an exact backend (bit-identical retire
         stream); combining ``verifier`` with an inexact backend raises
         :class:`~repro.errors.ConfigError`.
+    warm:
+        Optional :func:`warm_snapshot` bytes restored in place of the
+        functional warmup.  They must carry this run's warm key
+        (:meth:`~repro.core.pipeline.Simulator.warm_key`: workload,
+        seed, ``warmup``, simulator class and memory/branch config),
+        else :class:`~repro.errors.ConfigError`.  The result is
+        identical to warming afresh.
     """
     if instructions < 1:
         raise ConfigError(
             f"instructions must be >= 1 (got {instructions})"
         )
-    if warmup < 0:
-        raise ConfigError(f"warmup cannot be negative (got {warmup})")
     if detailed_warmup < 0:
         raise ConfigError(
             f"detailed_warmup cannot be negative (got {detailed_warmup})"
         )
-    if config is None:
-        config = CoreConfig.base()
-    if isinstance(workload, str):
-        name = workload
-        # raises WorkloadError for unknown names
-        profiles = workload_profiles(workload)
-    else:
-        profiles = list(workload)
-        name = "+".join(p.name for p in profiles)
-    if not profiles:
-        raise ConfigError("workload resolved to an empty profile list")
-    kernel = parse_backend(backend)
+    config, name, profiles, kernel = _prepare(workload, config, warmup, backend)
     if verifier is not None and not kernel.exact:
         raise ConfigError(
             f"backend {kernel.token!r} is not exact and cannot be "
@@ -145,7 +140,9 @@ def simulate(
             "validate sampled runs via SamplingReport.cross_check"
         )
     simulator = kernel.build(config, profiles, seed=seed)
-    if warmup:
+    if warm is not None:
+        simulator.restore_warmup(warm, warmup)
+    elif warmup:
         simulator.functional_warmup(warmup)
     if verifier is not None:
         if obs is None:
@@ -168,3 +165,39 @@ def simulate(
         backend=kernel.token,
         sampling=simulator.sampling_report,
     )
+
+
+def warm_snapshot(
+    workload: Union[str, List[WorkloadProfile]],
+    config: Optional[CoreConfig] = None,
+    warmup: int = DEFAULT_WARMUP,
+    seed: int = 0,
+    backend: Union[str, KernelBackend, None] = None,
+) -> bytes:
+    """The functional warmup :func:`simulate` would run, as bytes.
+
+    Pass them as ``simulate(..., warm=...)`` to every run sharing the
+    warm key — typically cells that differ only in loop knobs — to
+    warm once instead of once per run.
+    """
+    config, _, profiles, kernel = _prepare(workload, config, warmup, backend)
+    return kernel.build(config, profiles, seed=seed).snapshot_warmup(warmup)
+
+
+def _prepare(workload, config, warmup, backend):
+    """Validate and resolve what a run and its warmup share:
+    ``(config, name, profiles, kernel)``."""
+    if warmup < 0:
+        raise ConfigError(f"warmup cannot be negative (got {warmup})")
+    if config is None:
+        config = CoreConfig.base()
+    if isinstance(workload, str):
+        name = workload
+        # raises WorkloadError for unknown names
+        profiles = workload_profiles(workload)
+    else:
+        profiles = list(workload)
+        name = "+".join(p.name for p in profiles)
+    if not profiles:
+        raise ConfigError("workload resolved to an empty profile list")
+    return config, name, profiles, parse_backend(backend)

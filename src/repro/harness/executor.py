@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -202,7 +202,9 @@ class CellOutcome:
 # Cell execution
 # --------------------------------------------------------------------------
 
-def _simulate_cell(cell: Cell, verify: bool = False) -> Any:
+def _simulate_cell(
+    cell: Cell, verify: bool = False, warm: Optional[bytes] = None
+) -> Any:
     """Run one cell's simulation in the current process."""
     from repro.core.simulator import simulate
 
@@ -221,10 +223,38 @@ def _simulate_cell(cell: Cell, verify: bool = False) -> Any:
         seed=cell.seed,
         verifier=verifier,
         backend=getattr(settings, "backend", "reference"),
+        warm=warm,
     )
     if verifier is not None:
         verifier.raise_if_failed(context=cell.label)
     return result
+
+
+def _attempt_cell(
+    cell: Cell,
+    fault: Optional[FaultSpec],
+    isolated: bool,
+    verify: bool,
+    warm: Optional[bytes],
+) -> Any:
+    """One attempt at a cell: fire its injected fault, then simulate."""
+    if fault is not None:
+        trigger(fault, isolated=isolated)
+    return _simulate_cell(cell, verify=verify, warm=warm)
+
+
+def _warm_cell(cell: Cell) -> bytes:
+    """The functional warmup ``cell`` would run, as snapshot bytes."""
+    from repro.core.simulator import warm_snapshot
+
+    settings = cell.settings
+    return warm_snapshot(
+        cell.workload,
+        cell.config,
+        warmup=settings.warmup,
+        seed=cell.seed,
+        backend=getattr(settings, "backend", "reference"),
+    )
 
 
 def _encode_error(error: BaseException) -> Dict[str, Any]:
@@ -259,15 +289,11 @@ def _decode_error(encoded: Dict[str, Any]) -> ReproError:
     return cls(encoded["message"])
 
 
-def _worker_main(
-    conn, cell: Cell, fault: Optional[FaultSpec], verify: bool = False
-) -> None:
-    """Subprocess entry point: run one cell, report through ``conn``."""
+def _worker_main(conn, work, args: tuple) -> None:
+    """Subprocess entry point: run ``work(*args)``, report through
+    ``conn``."""
     try:
-        if fault is not None:
-            trigger(fault, isolated=True)
-        result = _simulate_cell(cell, verify=verify)
-        conn.send(("ok", result))
+        conn.send(("ok", work(*args)))
     except BaseException as error:  # classified on the parent side
         try:
             conn.send(("error", _encode_error(error)))
@@ -284,17 +310,14 @@ def _mp_context():
 
 
 def _run_isolated(
-    cell: Cell,
-    fault: Optional[FaultSpec],
-    timeout: Optional[float],
-    verify: bool = False,
+    what: str, work, args: tuple, timeout: Optional[float]
 ) -> Any:
-    """Run one cell attempt in a worker subprocess with a watchdog."""
+    """Run ``work(*args)`` in a worker subprocess with a watchdog;
+    ``what`` names the work in timeout and crash errors."""
     ctx = _mp_context()
     parent_conn, child_conn = ctx.Pipe(duplex=False)
     process = ctx.Process(
-        target=_worker_main, args=(child_conn, cell, fault, verify),
-        daemon=True,
+        target=_worker_main, args=(child_conn, work, args), daemon=True,
     )
     process.start()
     child_conn.close()
@@ -304,7 +327,7 @@ def _run_isolated(
         if not parent_conn.poll(timeout):
             _kill(process)
             raise CellTimeoutError(
-                f"cell {cell.label} exceeded {timeout:.1f}s and was killed",
+                f"{what} exceeded {timeout:.1f}s and was killed",
                 timeout=timeout,
             )
         try:
@@ -312,8 +335,7 @@ def _run_isolated(
         except EOFError:
             process.join()
             raise CellCrashError(
-                f"cell {cell.label} worker died "
-                f"(exit code {process.exitcode})",
+                f"{what} worker died (exit code {process.exitcode})",
                 exitcode=process.exitcode,
             )
         process.join()
@@ -350,6 +372,7 @@ def run_cell(
     harness: Optional[HarnessSettings] = None,
     cache: Optional[ResultCache] = None,
     attempt_offset: int = 0,
+    warm: Optional[bytes] = None,
 ) -> CellOutcome:
     """Execute one cell with caching, isolation, watchdog and retries.
 
@@ -360,6 +383,10 @@ def run_cell(
     lease (otherwise a lease-requeue loop against a first-attempt fault
     would never terminate).  The outcome's ``attempts`` stays local to
     this call.
+
+    ``warm`` is a functional-warmup snapshot with this cell's warm key
+    (:func:`execute_cells` shares one across a batch); every attempt
+    restores it instead of warming.
     """
     harness = harness or default_harness()
     if cache is None and harness.cache_dir is not None:
@@ -381,12 +408,12 @@ def run_cell(
         try:
             if isolated:
                 result = _run_isolated(
-                    cell, fault, harness.cell_timeout, verify=harness.verify
+                    f"cell {cell.label}", _attempt_cell,
+                    (cell, fault, True, harness.verify, warm),
+                    harness.cell_timeout,
                 )
             else:
-                if fault is not None:
-                    trigger(fault, isolated=False)
-                result = _simulate_cell(cell, verify=harness.verify)
+                result = _attempt_cell(cell, fault, False, harness.verify, warm)
         except ReproError as failure:
             error = failure
             if not is_retryable(failure) or attempt == attempts:
@@ -427,19 +454,122 @@ def execute_cells(
 
     Outcomes are returned in input order.  Duplicate cells (same content
     key) are executed once and share the outcome.
+
+    Cells missing from the cache that share a warm key
+    (:meth:`~repro.core.pipeline.Simulator.warm_key`) — the same
+    workload, seed and warmup on one memory/branch configuration,
+    differing only in loop knobs — are functionally warmed once: the
+    warmup is its own unit of work on the batch's worker slots, and its
+    snapshot is restored into each of those cells.  A failed warmup
+    only means its cells warm themselves.
     """
     harness = harness or default_harness()
     cache = ResultCache(harness.cache_dir) if harness.cache_dir else None
     unique: Dict[str, Cell] = {}
     for cell in cells:
         unique.setdefault(cell.key, cell)
-    ordered = list(unique.values())
-    if harness.jobs == 1 or len(ordered) <= 1:
-        outcomes = [run_cell(cell, harness, cache) for cell in ordered]
+    by_key: Dict[str, CellOutcome] = {}
+    missing: List[Cell] = []
+    for key, cell in unique.items():
+        cached = cache.get(key) if cache is not None and harness.resume else None
+        if cached is not None:
+            by_key[key] = CellOutcome(cell=cell, result=cached, cached=True)
+        else:
+            missing.append(cell)
+    # the cache was read above; the cells below only write it
+    compute = harness.replace(resume=False)
+    shared, alone = _plan_warmups(missing)
+    if harness.jobs > 1 and len(missing) > 1:
+        pool = ThreadPoolExecutor(max_workers=harness.jobs)
     else:
-        with ThreadPoolExecutor(max_workers=harness.jobs) as pool:
-            outcomes = list(
-                pool.map(lambda cell: run_cell(cell, harness, cache), ordered)
-            )
-    by_key = {outcome.cell.key: outcome for outcome in outcomes}
+        pool = _InlinePool()
+    with pool:
+        # warmups take the first slots; lone cells fill the rest while
+        # they run, and each warmup queues its cells when it finishes
+        waves = [
+            pool.submit(_warm_then_run, pool, group, compute, cache)
+            for group in shared
+        ]
+        runs = [pool.submit(run_cell, cell, compute, cache) for cell in alone]
+        for wave in waves:
+            runs.extend(wave.result())
+        outcomes = [run.result() for run in runs]
+    for outcome in outcomes:
+        by_key[outcome.cell.key] = outcome
     return [by_key[cell.key] for cell in cells]
+
+
+class _InlinePool:
+    """``ThreadPoolExecutor.submit`` for one worker slot: the work runs
+    at once on the calling thread."""
+
+    def submit(self, work, *args) -> Future:
+        future: Future = Future()
+        future.set_result(work(*args))
+        return future
+
+    def __enter__(self) -> "_InlinePool":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        return None
+
+
+def _plan_warmups(cells: Sequence[Cell]) -> Tuple[List[List[Cell]], List[Cell]]:
+    """Split ``cells`` into groups of two or more sharing a warm key,
+    and the cells that warm alone."""
+    groups: Dict[str, List[Cell]] = {}
+    alone: List[Cell] = []
+    for cell in cells:
+        key = _warm_key(cell)
+        if key is None:
+            alone.append(cell)
+        else:
+            groups.setdefault(key, []).append(cell)
+    shared = [group for group in groups.values() if len(group) > 1]
+    alone.extend(group[0] for group in groups.values() if len(group) == 1)
+    return shared, alone
+
+
+def _warm_key(cell: Cell) -> Optional[str]:
+    """The warm key ``cell`` would warm under; None when its warmup is
+    empty or its workload or backend cannot be resolved (the cell then
+    fails on its own, with the real error)."""
+    from repro.core.backend import parse_backend
+    from repro.scenarios import workload_signature
+
+    settings = cell.settings
+    if settings.warmup <= 0:
+        return None
+    signature = workload_signature(cell.workload)
+    if signature == "unresolved":
+        return None
+    try:
+        kernel = parse_backend(getattr(settings, "backend", "reference"))
+    except ConfigError:
+        return None
+    return kernel.simulator_class.warm_key(
+        cell.config, signature, cell.seed, settings.warmup
+    )
+
+
+def _warm_then_run(
+    pool, group: List[Cell], harness: HarnessSettings,
+    cache: Optional[ResultCache],
+) -> List[Future]:
+    """Warm ``group``'s shared state once, then queue its cells."""
+    try:
+        if harness.uses_processes:
+            warm = _run_isolated(
+                f"warmup for {group[0].label}", _warm_cell, (group[0],),
+                harness.cell_timeout,
+            )
+        else:
+            warm = _warm_cell(group[0])
+    except ReproError:
+        # the cells warm themselves; run_cell then classifies, retries
+        # and reports any failure per cell, exactly as without sharing
+        warm = None
+    return [
+        pool.submit(run_cell, cell, harness, cache, 0, warm) for cell in group
+    ]

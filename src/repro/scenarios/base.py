@@ -123,3 +123,9 @@ def entry_signature(entry) -> str:
     if hasattr(entry, "signature"):
         return entry.signature()
     return profile_signature(entry)
+
+
+def entries_signature(entries) -> str:
+    """Content signature of a resolved workload: every thread's entry,
+    in thread order."""
+    return content_digest(*[entry_signature(entry) for entry in entries])

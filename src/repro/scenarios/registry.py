@@ -17,25 +17,25 @@ from __future__ import annotations
 from typing import Any, Dict, List
 
 from repro.errors import WorkloadError
-from repro.scenarios.base import content_digest, entry_signature
+from repro.scenarios.base import entries_signature
 from repro.scenarios.dynamic import DEFAULT_PERIOD, PATTERN_DESCRIPTIONS
 
 
 def workload_signature(name: str) -> str:
     """Content digest of everything ``name`` resolves to.
 
-    Unresolvable names (missing trace file, unknown base) digest to a
-    constant: the key still forms, the cell then fails at execution
+    Unresolvable names (unknown base, missing or corrupt trace file —
+    which only surfaces once the entry's signature reads it) digest to
+    a constant: the key still forms, the cell then fails at execution
     with the real error, and nothing is ever served from a cache entry
     whose content could not be established.
     """
     from repro.workloads.suites import workload_profiles
 
     try:
-        entries = workload_profiles(name)
+        return entries_signature(workload_profiles(name))
     except WorkloadError:
         return "unresolved"
-    return content_digest(*[entry_signature(entry) for entry in entries])
 
 
 def workload_catalog() -> Dict[str, Any]:

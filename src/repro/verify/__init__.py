@@ -30,6 +30,7 @@ from repro.verify.differential import (
     check_rf_monotonicity,
     check_ssr_zero_threshold,
     check_stall_recovery,
+    check_warm_restore,
     run_differential_checks,
 )
 from repro.verify.fuzz import (
@@ -86,6 +87,7 @@ __all__ = [
     "check_rf_monotonicity",
     "check_ssr_zero_threshold",
     "check_stall_recovery",
+    "check_warm_restore",
     "FuzzCase",
     "FuzzFailure",
     "FuzzResult",

@@ -28,12 +28,16 @@ timing-model bug even when every single-run invariant passes:
   peak per-cycle operand demand (issue_width x max sources) can never
   port-stall, so it must be cycle-for-cycle identical to one with
   arbitrarily many ports, with ``port_stalls == 0``.
+* **restored-warm ≡ fresh-warm** — one functional-warmup snapshot,
+  restored into every machine sharing its warm key (machines differing
+  only in loop knobs), must reproduce warming afresh cycle for cycle:
+  the full ``CoreStats`` and the retire stream, on every restore.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.core.config import CoreConfig, DRAConfig, LoadRecovery
 from repro.presets import MACHINE_PRESETS, preset
@@ -328,6 +332,79 @@ def check_port_sufficiency(
     )
 
 
+#: Default machines for :func:`check_warm_restore`: one warm key, three
+#: loop mechanisms at three rf latencies.
+WARM_RESTORE_CONFIGS = (
+    CoreConfig.base(3),
+    CoreConfig.with_dra(5),
+    CoreConfig.base(7, rf_read_ports=4),
+)
+
+
+def check_warm_restore(
+    workload: str = "int_test",
+    configs: Sequence[CoreConfig] = WARM_RESTORE_CONFIGS,
+    instructions: int = 1500,
+    warmup: int = 20_000,
+    detailed_warmup: int = 300,
+    seed: int = 0,
+    backend: str = "reference",
+) -> DifferentialCheck:
+    """A restored warm snapshot must equal warming afresh, exactly.
+
+    The snapshot is taken once, on the first config, and restored twice
+    into every config; each restored run must match that config's
+    freshly warmed run in its full ``CoreStats`` and its retire stream.
+    All ``configs`` must share one warm key.
+    """
+    from repro.core.backend import RetireStreamRecorder, parse_backend
+    from repro.workloads import workload_profiles
+
+    kernel = parse_backend(backend)
+    profiles = workload_profiles(workload)
+
+    def run(config, prepare):
+        sim = kernel.build(config, profiles, seed=seed)
+        recorder = RetireStreamRecorder()
+        recorder.install(sim)
+        prepare(sim)
+        stats = kernel.run(sim, instructions, warmup=detailed_warmup)
+        return stats, recorder.stream
+
+    snapshot = kernel.build(configs[0], profiles, seed=seed).snapshot_warmup(
+        warmup
+    )
+    name = f"warm-restore[{workload}]"
+    for config in configs:
+        fresh_stats, fresh_stream = run(
+            config, lambda sim: sim.functional_warmup(warmup)
+        )
+        for restore in (1, 2):
+            stats, stream = run(
+                config, lambda sim: sim.restore_warmup(snapshot, warmup)
+            )
+            mismatches = []
+            if stats != fresh_stats:
+                mismatches.append(
+                    f"CoreStats differ (cycles {fresh_stats.cycles} "
+                    f"fresh, {stats.cycles} restored)"
+                )
+            if stream != fresh_stream:
+                mismatches.append("retire streams differ")
+            if mismatches:
+                return DifferentialCheck(
+                    name, False,
+                    f"{config.label}, restore {restore}: "
+                    + "; ".join(mismatches),
+                )
+    return DifferentialCheck(
+        name,
+        True,
+        "one snapshot, restored twice == fresh warmup on "
+        f"{', '.join(config.label for config in configs)}",
+    )
+
+
 def run_differential_checks(
     workload: str = "int_test",
     instructions: int = 1500,
@@ -355,6 +432,10 @@ def run_differential_checks(
         check_port_sufficiency(
             workload, instructions, warmup, detailed_warmup, seed,
             backend=backend,
+        ),
+        check_warm_restore(
+            workload, instructions=instructions, warmup=warmup,
+            detailed_warmup=detailed_warmup, seed=seed, backend=backend,
         ),
     ]
     for name in names:

@@ -469,8 +469,12 @@ class TestSignaturesAndCacheKeys:
     def test_signature_stable_across_calls(self):
         assert workload_signature("swim") == workload_signature("swim")
 
-    def test_unresolvable_name_digests_to_constant(self):
-        assert workload_signature("doom3") == "unresolved"
+    def test_unresolvable_name_digests_to_constant(self, tmp_path):
+        corrupt = tmp_path / "corrupt.trace"
+        corrupt.write_bytes(b"\x00\x01 not a trace\n")
+        for name in ("doom3", f"trace:{tmp_path / 'missing.trace'}",
+                     f"trace:{corrupt}"):
+            assert workload_signature(name) == "unresolved", name
 
     def test_cell_key_tracks_trace_content(self, tmp_path):
         """Same path, different trace bytes => different cache cells."""

@@ -530,6 +530,16 @@ class TestServerEndToEnd:
                     client.submit_spec(make_cell_spec("m88ksim", **TINY),
                                        priority="vip")
 
+    def test_unreadable_trace_gets_a_failure_reply(self, tmp_path):
+        missing = f"trace:{tmp_path / 'missing.trace'}"
+        with ServerThread(serve_settings(tmp_path)) as st:
+            with CampaignClient(port=st.port) as client:
+                reply = client.submit(missing, **TINY)
+            assert st.counter("failed") == 1
+        assert not reply.ok
+        assert reply.error_kind == "TraceError"
+        assert reply.attempts == 1
+
     def test_health_status_stats_endpoints(self, tmp_path):
         with ServerThread(serve_settings(tmp_path)) as st:
             with CampaignClient(port=st.port) as client:

@@ -5,6 +5,7 @@ event streams (both clean and deliberately broken), oracle unit tests,
 and end-to-end verified simulations over the machine presets.
 """
 
+import os
 import pickle
 
 import pytest
@@ -432,6 +433,11 @@ class TestVerifiedRuns:
 # ---------------------------------------------------------------------------
 
 
+MINI_TRACE = os.path.join(
+    os.path.dirname(__file__), "golden", "mini_int_test.trace.gz"
+)
+
+
 def _exact_backends():
     from repro.core.backend import available_backends, get_backend
 
@@ -471,6 +477,31 @@ class TestDifferentialChecks:
 
         check = check_port_sufficiency(
             instructions=800, warmup=10_000, detailed_warmup=200,
+            backend=backend,
+        )
+        assert check.passed, f"[{backend}] {check.detail}"
+
+    @pytest.mark.parametrize("backend", _exact_backends())
+    def test_warm_restore_on_every_golden_cell(self, backend):
+        from repro.perfhist.profile import GOLDEN_RUN, golden_cells
+        from repro.verify import check_warm_restore
+
+        run = dict(GOLDEN_RUN)
+        check = check_warm_restore(
+            run.pop("workload"), [config for _, config in golden_cells()],
+            backend=backend, **run,
+        )
+        assert check.passed, f"[{backend}] {check.detail}"
+
+    @pytest.mark.parametrize("backend", _exact_backends())
+    @pytest.mark.parametrize("workload", [
+        "go+su2cor", f"trace:{MINI_TRACE}", "int_test@bursty",
+    ], ids=["smt-pair", "mini-trace", "bursty"])
+    def test_warm_restore_on_scenarios(self, workload, backend):
+        from repro.verify import check_warm_restore
+
+        check = check_warm_restore(
+            workload, instructions=600, warmup=4_000, detailed_warmup=100,
             backend=backend,
         )
         assert check.passed, f"[{backend}] {check.detail}"
