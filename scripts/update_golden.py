@@ -58,7 +58,9 @@ def _scenario_config(run: dict) -> CoreConfig:
     return CoreConfig.base(run["rf"])
 
 
-def collect() -> dict:
+def collect(backend) -> dict:
+    """Run every pinned cell on ``backend`` (the caller has checked it
+    is the reference kernel) and return the pin file's contents."""
     cells = {}
     for label, config in golden_cells():
         stats = simulate(
@@ -68,6 +70,7 @@ def collect() -> dict:
             warmup=RUN["warmup"],
             detailed_warmup=RUN["detailed_warmup"],
             seed=RUN["seed"],
+            backend=backend,
         ).stats
         cells[label] = {
             "pipe": config.label,
@@ -87,6 +90,7 @@ def collect() -> dict:
             warmup=run["warmup"],
             detailed_warmup=run["detailed_warmup"],
             seed=run["seed"],
+            backend=backend,
         ).stats
         scenario_cells[label] = {
             "run": dict(run),
@@ -124,7 +128,7 @@ def main() -> int:
             file=sys.stderr,
         )
         return 2
-    golden = collect()
+    golden = collect(backend)
     os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
     with open(GOLDEN_PATH, "w", encoding="utf-8") as handle:
         json.dump(golden, handle, indent=2, sort_keys=True)

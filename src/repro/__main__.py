@@ -41,6 +41,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from repro import CoreConfig, LoadRecovery, simulate
+from repro.core.backend import DEFAULT_BACKEND
 from repro.errors import (
     ReproError,
     SimulationHangError,
@@ -86,7 +87,7 @@ def _settings(args: argparse.Namespace) -> ExperimentSettings:
     return ExperimentSettings(
         instructions=args.instructions,
         seeds=tuple(range(args.seeds)),
-        backend=getattr(args, "backend", "reference"),
+        backend=getattr(args, "backend", DEFAULT_BACKEND),
     )
 
 
@@ -154,10 +155,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
              "cell",
     )
     parser.add_argument(
-        "--backend", default="reference", metavar="SPEC",
+        "--backend", default=DEFAULT_BACKEND, metavar="SPEC",
         help="kernel backend: reference, optimized, sampled, or "
              "sampled:<windows>x<measure>[+<warmup>] "
-             "(default reference)",
+             "(default %(default)s; reference is the ground-truth loop)",
     )
 
 
@@ -188,7 +189,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     result = simulate(
         args.workload, config, instructions=args.instructions,
         seed=args.seed, obs=bus,
-        backend=getattr(args, "backend", "reference"),
+        backend=getattr(args, "backend", DEFAULT_BACKEND),
     )
     stats = result.stats
     print(result.describe())
@@ -726,9 +727,10 @@ def build_parser() -> argparse.ArgumentParser:
              "(viewable in Perfetto)",
     )
     run_parser.add_argument(
-        "--backend", default="reference", metavar="SPEC",
+        "--backend", default=DEFAULT_BACKEND, metavar="SPEC",
         help="kernel backend: reference, optimized, sampled, or "
-             "sampled:<windows>x<measure>[+<warmup>]",
+             "sampled:<windows>x<measure>[+<warmup>] "
+             "(default %(default)s; reference is the ground-truth loop)",
     )
     run_parser.set_defaults(func=_cmd_run)
 
@@ -923,8 +925,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="run every cell under the differential verifier",
     )
     explore_parser.add_argument(
-        "--backend", default="reference", metavar="SPEC",
-        help="kernel backend for every rung (default reference)",
+        "--backend", default=DEFAULT_BACKEND, metavar="SPEC",
+        help="kernel backend for every rung (default %(default)s)",
     )
     explore_parser.add_argument(
         "--rung-backends", default="", metavar="SPEC,SPEC,...",
@@ -1023,8 +1025,8 @@ def build_parser() -> argparse.ArgumentParser:
     submit_parser.add_argument("--warmup", type=int, default=100_000)
     submit_parser.add_argument("--detailed-warmup", type=int, default=1_500)
     submit_parser.add_argument(
-        "--backend", default="reference", metavar="SPEC",
-        help="kernel backend executing the cell (default reference)",
+        "--backend", default=DEFAULT_BACKEND, metavar="SPEC",
+        help="kernel backend executing the cell (default %(default)s)",
     )
     submit_parser.add_argument("--seed", type=int, default=0)
     submit_parser.add_argument(
@@ -1125,7 +1127,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     perf_parser.add_argument(
         "--backend", default="reference", metavar="SPEC",
-        help="kernel backend for the live IPC cells (record)",
+        help="kernel backend for the live IPC cells (record; default "
+             "reference, the ground truth the exact triples pin)",
     )
     perf_parser.add_argument(
         "--no-sampled", action="store_true",

@@ -164,6 +164,7 @@ def collect_trace(
     else:
         profiles = list(workload)
     config = config or CoreConfig.base()
+    # the reference kernel by name: the readable, ground-truth loop
     simulator = Simulator(config, profiles, seed=seed)
     if warmup:
         simulator.functional_warmup(warmup)

@@ -10,7 +10,8 @@ a backend by name and stays agnostic of the execution strategy:
     The existing straight-line loop (:class:`~repro.core.pipeline.
     Simulator`).  The semantic ground truth: golden pins are only ever
     regenerated from it (``scripts/update_golden.py`` refuses anything
-    else).
+    else), and every tool that defines or checks against the truth
+    names it explicitly rather than taking the default.
 
 ``optimized``
     :class:`~repro.core.fastsim.OptimizedSimulator` — the compiled
@@ -18,7 +19,7 @@ a backend by name and stays agnostic of the execution strategy:
     generation.  *Exact*: bit-identical ``CoreStats`` and retire
     streams, enforced by the backend-equivalence matrix
     (``tests/test_backend.py``, golden pins, differential laws, fuzz
-    smoke).
+    smoke).  The default (:data:`DEFAULT_BACKEND`).
 
 ``sampled``
     SMARTS-style systematic sampling on top of the optimized tick:
@@ -60,7 +61,13 @@ __all__ = [
     "get_backend",
     "available_backends",
     "parse_backend",
+    "DEFAULT_BACKEND",
 ]
+
+#: The kernel every default path runs: ``simulate()``, experiment and
+#: explore settings, the harness and the CLI all read this one name.
+#: ``reference`` stays registered as the named ground truth.
+DEFAULT_BACKEND = "optimized"
 
 
 # ---------------------------------------------------------------------------
@@ -385,12 +392,12 @@ def parse_backend(
     """Resolve a backend argument: instance, name, or parameter string.
 
     Accepts a :class:`KernelBackend`, a registered name, ``None`` (the
-    reference backend) or a parameterised sampled spec of the form
+    :data:`DEFAULT_BACKEND`) or a parameterised sampled spec of the form
     ``sampled:<windows>x<measure>+<window_warmup>`` (e.g.
     ``sampled:8x500+150``).
     """
     if spec is None:
-        return _REGISTRY["reference"]
+        return _REGISTRY[DEFAULT_BACKEND]
     if isinstance(spec, KernelBackend):
         return spec
     if not isinstance(spec, str):

@@ -32,9 +32,10 @@ overhead without changing a single modelled event:
   ``latency >= 1``, which can never satisfy this cycle's readiness
   horizon of ``cycle + IQ->EX`` — so no same-cycle ordering change is
   possible.
-* **Fast workload generation.**  Plain profiles are regenerated by
-  :class:`~repro.workloads.fastgen.FastSyntheticTraceGenerator`, a
-  bit-identical flattened rewrite of the synthetic generator.
+* **Fast workload generation.**  Plain profiles are generated by
+  :class:`~repro.workloads.fastgen.FastSyntheticTraceGenerator` (the
+  ``generator_class`` attribute), a bit-identical flattened rewrite of
+  the synthetic generator.
 
 Rare paths (flushes, memory traps, cache access, DRA operand location,
 indirect control at fetch) delegate to the inherited reference methods;
@@ -80,7 +81,6 @@ from repro.obs.events import (
     WritebackEvent,
 )
 from repro.smt import choose_fetch_thread
-from repro.workloads import SyntheticTraceGenerator
 from repro.workloads.fastgen import FastSyntheticTraceGenerator
 
 #: Execution latency by ``id(opclass)`` — identity-keyed to avoid the
@@ -1013,21 +1013,11 @@ class OptimizedSimulator(Simulator):
     plain profiles) and the detailed run loop differ — bit-identically.
     """
 
+    #: plain profiles only: scenario engines keep their own path
+    generator_class = FastSyntheticTraceGenerator
+
     def __init__(self, config, profiles, seed: int = 0):
         super().__init__(config, profiles, seed=seed)
-        for thread in self.threads:
-            generator = thread.generator
-            # exact-type check: scenario engines and subclasses keep
-            # their own (possibly stateful) generation path untouched
-            if type(generator) is SyntheticTraceGenerator:
-                fast = FastSyntheticTraceGenerator(
-                    generator.profile,
-                    seed=generator.seed,
-                    thread=generator.thread,
-                    page_bytes=generator.page_bytes,
-                )
-                thread.generator = fast
-                thread._ops = fast.stream()
         self._run_impl = _RUN_NOPROBE
 
     def attach_obs(self, bus) -> None:

@@ -178,6 +178,10 @@ class _ThreadState:
 class Simulator:
     """A configured core running one or more synthetic workloads."""
 
+    #: Builds each plain profile's uop stream; scenario entries (anything
+    #: with ``build_engine``) build their own engine instead.
+    generator_class = SyntheticTraceGenerator
+
     def __init__(
         self,
         config: CoreConfig,
@@ -239,7 +243,7 @@ class Simulator:
                     page_bytes=config.hierarchy.tlb.page_bytes,
                 )
             else:
-                generator = SyntheticTraceGenerator(
+                generator = self.generator_class(
                     profile,
                     seed=seed,
                     thread=tid,

@@ -112,7 +112,9 @@ def simulate(
         Kernel backend selection: a registered name (``"reference"``,
         ``"optimized"``, ``"sampled"``), a parameterised spec like
         ``"sampled:8x500+150"``, a :class:`~repro.core.backend.
-        KernelBackend` instance, or ``None`` for the reference loop.
+        KernelBackend` instance, or ``None`` for
+        :data:`~repro.core.backend.DEFAULT_BACKEND` (the compiled exact
+        kernel; pass ``"reference"`` for the ground-truth loop).
         Verification requires an exact backend (bit-identical retire
         stream); combining ``verifier`` with an inexact backend raises
         :class:`~repro.errors.ConfigError`.

@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.metrics import mean
 from repro.core import CoreConfig, SimResult
+from repro.core.backend import DEFAULT_BACKEND
 from repro.harness import (
     Cell,
     CellFailure,
@@ -42,7 +43,7 @@ class ExperimentSettings:
     seeds: Tuple[int, ...] = (0,)
     #: kernel backend spec (see :func:`repro.core.backend.parse_backend`);
     #: folded into cell keys via this dataclass's repr
-    backend: str = "reference"
+    backend: str = DEFAULT_BACKEND
 
     @classmethod
     def quick(cls) -> "ExperimentSettings":

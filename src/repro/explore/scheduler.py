@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.backend import DEFAULT_BACKEND
 from repro.errors import ConfigError
 from repro.experiments.runner import (
     CellFailure,
@@ -62,7 +63,7 @@ class HalvingSettings:
     budget: Optional[int] = None
     #: Kernel backend for every rung (a :func:`repro.core.backend.
     #: parse_backend` spec).
-    backend: str = "reference"
+    backend: str = DEFAULT_BACKEND
     #: Optional per-rung backend override, one entry per rung from the
     #: cheapest up; shorter tuples repeat their last entry.  The classic
     #: use: sampled early rungs to triage, an exact final rung to score.

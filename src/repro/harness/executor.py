@@ -35,6 +35,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.backend import DEFAULT_BACKEND
 from repro.errors import (
     CellCrashError,
     CellTimeoutError,
@@ -222,7 +223,7 @@ def _simulate_cell(
         detailed_warmup=settings.detailed_warmup,
         seed=cell.seed,
         verifier=verifier,
-        backend=getattr(settings, "backend", "reference"),
+        backend=getattr(settings, "backend", DEFAULT_BACKEND),
         warm=warm,
     )
     if verifier is not None:
@@ -253,7 +254,7 @@ def _warm_cell(cell: Cell) -> bytes:
         cell.config,
         warmup=settings.warmup,
         seed=cell.seed,
-        backend=getattr(settings, "backend", "reference"),
+        backend=getattr(settings, "backend", DEFAULT_BACKEND),
     )
 
 
@@ -545,7 +546,7 @@ def _warm_key(cell: Cell) -> Optional[str]:
     if signature == "unresolved":
         return None
     try:
-        kernel = parse_backend(getattr(settings, "backend", "reference"))
+        kernel = parse_backend(getattr(settings, "backend", DEFAULT_BACKEND))
     except ConfigError:
         return None
     return kernel.simulator_class.warm_key(

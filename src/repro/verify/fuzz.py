@@ -263,7 +263,13 @@ def run_case(
     inject: Optional[str] = None,
     backend: str = "reference",
 ) -> Optional[FuzzFailure]:
-    """Run one case under the full verifier; ``None`` means it passed."""
+    """Run one case under the full verifier; ``None`` means it passed.
+
+    Defaults to the ``reference`` kernel by name: the fuzzer checks the
+    ground truth.  ``inject`` plants its bug by wrapping reference
+    methods the compiled loop inlines, so it is refused on any other
+    kernel instead of silently planting nothing.
+    """
     from repro.core.backend import parse_backend
 
     kernel = parse_backend(backend)
@@ -271,6 +277,12 @@ def run_case(
         raise ReproError(
             f"fuzz cases verify retire streams and need an exact kernel "
             f"backend (got {kernel.token!r})"
+        )
+    if inject is not None and kernel.name != "reference":
+        raise ReproError(
+            f"injection {inject!r} wraps reference-kernel methods and "
+            f"plants nothing on backend {kernel.token!r}; inject on "
+            f"the reference backend"
         )
     try:
         config = case.build_config()

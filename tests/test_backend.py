@@ -11,6 +11,7 @@ and the planted-drift self-test of the cross-check.
 import pytest
 
 from repro.core.backend import (
+    DEFAULT_BACKEND,
     KernelBackend,
     OptimizedBackend,
     ReferenceBackend,
@@ -62,8 +63,8 @@ class TestRegistry:
 
 
 class TestParseBackend:
-    def test_none_means_reference(self):
-        assert parse_backend(None).name == "reference"
+    def test_none_means_default(self):
+        assert parse_backend(None).name == DEFAULT_BACKEND
 
     def test_names_resolve(self):
         assert parse_backend("optimized").name == "optimized"
@@ -95,6 +96,44 @@ class TestParseBackend:
     def test_non_string_non_backend_raises(self):
         with pytest.raises(ConfigError):
             parse_backend(42)
+
+
+class TestDefaultBackend:
+    """One constant picks the kernel of every default path; the ground
+    truth stays selectable by name."""
+
+    def test_default_is_an_exact_kernel_other_than_the_truth(self):
+        # exact: `loopsim verify` runs the default under the verifier
+        default = get_backend(DEFAULT_BACKEND)
+        assert default.exact
+        assert default.name != "reference"
+
+    def test_every_kernel_selecting_default_reads_the_constant(self):
+        from repro.__main__ import build_parser
+        from repro.experiments.runner import ExperimentSettings
+        from repro.explore import HalvingSettings
+        from repro.serve.protocol import build_cell, make_cell_spec
+
+        parser = build_parser()
+        defaults = {
+            "ExperimentSettings": ExperimentSettings().backend,
+            "HalvingSettings": HalvingSettings().backend,
+            "serve spec": make_cell_spec("int_test")["backend"],
+            "serve cell": build_cell(
+                {"workload": "int_test"}
+            ).settings.backend,
+            "run": parser.parse_args(["run", "int_test"]).backend,
+            "fig8": parser.parse_args(["fig8"]).backend,
+            "explore": parser.parse_args(["explore"]).backend,
+            "submit": parser.parse_args(["submit", "int_test"]).backend,
+        }
+        assert defaults == dict.fromkeys(defaults, DEFAULT_BACKEND)
+
+    def test_perf_record_names_reference(self):
+        from repro.__main__ import build_parser
+
+        args = build_parser().parse_args(["perf", "record"])
+        assert args.backend == "reference"
 
 
 class TestSampledValidation:
@@ -380,3 +419,33 @@ class TestUpdateGoldenGate:
         )
         assert proc.returncode == 2
         assert "refusing" in proc.stderr
+
+    def test_regenerates_from_the_reference_kernel(self, monkeypatch,
+                                                   tmp_path):
+        """Every pin is simulated on ``reference`` by name, never on
+        whatever the default kernel is."""
+        import importlib.util
+        import os
+        from types import SimpleNamespace
+
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        spec = importlib.util.spec_from_file_location(
+            "update_golden", os.path.join(root, "scripts", "update_golden.py")
+        )
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        backends = []
+
+        def spy(workload, config, **kwargs):
+            backends.append(kwargs.get("backend"))
+            stats = SimpleNamespace(cycles=1, retired=1, total_reissues=0)
+            return SimpleNamespace(stats=stats)
+
+        monkeypatch.setattr(script, "simulate", spy)
+        monkeypatch.setattr(script, "GOLDEN_PATH",
+                            str(tmp_path / "ipc_numbers.json"))
+        monkeypatch.setattr("sys.argv", ["update_golden.py"])
+        assert script.main() == 0
+        expected = len(list(script.golden_cells())) + len(script.SCENARIO_RUNS)
+        assert len(backends) == expected
+        assert all(parse_backend(b).name == "reference" for b in backends)

@@ -369,8 +369,10 @@ class TestDeadlockDiagnostics:
 class TestBackendEquivalenceProperty:
     """Random (config, workload, seed) triples: the optimized backend
     must reproduce the reference backend bit for bit — identical
-    ``CoreStats`` and retire streams — with both runs clean under the
-    differential :class:`~repro.verify.Verifier`."""
+    ``CoreStats`` and retire streams.  Each example runs both compiled
+    loop variants: the *probe* variant (bus attached, both runs clean
+    under the differential :class:`~repro.verify.Verifier`) and the
+    *no-probe* variant every default run takes (no bus at all)."""
 
     WORKLOADS = (
         "int_test", "compress", "m88ksim", "swim",
@@ -398,7 +400,7 @@ class TestBackendEquivalenceProperty:
             out[f.name] = value
         return out
 
-    def _run_backend(self, backend, config, workload, seed):
+    def _run_backend(self, backend, config, workload, seed, probed):
         from repro.core.backend import RetireStreamRecorder, get_backend
         from repro.obs.bus import EventBus
         from repro.verify import Verifier
@@ -409,15 +411,19 @@ class TestBackendEquivalenceProperty:
         # same order as simulate(): warm up first — the verifier's
         # oracle snapshots generator positions when it attaches
         sim.functional_warmup(3000)
-        bus = EventBus()
-        verifier = Verifier()
-        verifier.attach(sim, bus)
+        verifier = bus = None
+        if probed:
+            bus = EventBus()
+            verifier = Verifier()
+            verifier.attach(sim, bus)
         recorder = RetireStreamRecorder()
         recorder.install(sim)
-        sim.attach_obs(bus)
+        if probed:
+            sim.attach_obs(bus)
         stats = kernel.run(sim, 1200, warmup=200)
-        verifier.finish(stats)
-        verifier.raise_if_failed(context=f"{backend}/{workload}")
+        if verifier is not None:
+            verifier.finish(stats)
+            verifier.raise_if_failed(context=f"{backend}/{workload}")
         return self._stats_dict(stats), recorder.stream
 
     import hypothesis
@@ -427,31 +433,58 @@ class TestBackendEquivalenceProperty:
         workload=st.sampled_from(WORKLOADS),
         dra=st.booleans(),
         rf=st.sampled_from((3, 5, 7)),
-        recovery=st.sampled_from(("reissue", "stall", "refetch")),
+        recovery=st.sampled_from(("reissue", "stall", "refetch", "ssr")),
+        memdep=st.sampled_from((None, "naive", "predict", "conservative")),
+        fetch_policy=st.sampled_from(("icount", "round_robin")),
+        slotting=st.sampled_from(("dependence", "round_robin")),
+        ports=st.sampled_from(
+            (None, "oldest_first", "operand_share", "banked")
+        ),
         seed=st.integers(min_value=0, max_value=10_000),
     )
     @hypothesis.settings(max_examples=6, deadline=None)
     def test_reference_and_optimized_agree(
-        self, workload, dra, rf, recovery, seed
+        self, workload, dra, rf, recovery, memdep, fetch_policy, slotting,
+        ports, seed,
     ):
+        from repro.core.config import PortConfig
+        from repro.core.memdep import MemDepConfig, MemDepPolicy
+
+        knobs = dict(
+            load_recovery=LoadRecovery(recovery),
+            memdep=(
+                None if memdep is None
+                else MemDepConfig(policy=MemDepPolicy(memdep))
+            ),
+            fetch_policy=fetch_policy,
+            slotting=slotting,
+        )
+        if ports is not None:
+            # 4 ports contend on every workload (16 is the full budget)
+            knobs.update(
+                rf_read_ports=4, ports=PortConfig(arbitration=ports)
+            )
         config = (
-            CoreConfig.with_dra(rf) if dra else CoreConfig.base(rf)
+            CoreConfig.with_dra(rf, **knobs) if dra
+            else CoreConfig.base(rf, **knobs)
         )
-        config = config.replace(load_recovery=LoadRecovery(recovery))
-        ref_stats, ref_stream = self._run_backend(
-            "reference", config, workload, seed
-        )
-        opt_stats, opt_stream = self._run_backend(
-            "optimized", config, workload, seed
-        )
-        diverged = [
-            name for name in ref_stats if ref_stats[name] != opt_stats[name]
-        ]
-        assert not diverged, (
-            f"CoreStats diverged on {diverged} for {workload} "
-            f"{config.label} seed={seed}"
-        )
-        assert ref_stream == opt_stream, (
-            f"retire streams diverged for {workload} {config.label} "
-            f"seed={seed}"
-        )
+        for probed in (True, False):
+            variant = "probe" if probed else "no-probe"
+            ref_stats, ref_stream = self._run_backend(
+                "reference", config, workload, seed, probed
+            )
+            opt_stats, opt_stream = self._run_backend(
+                "optimized", config, workload, seed, probed
+            )
+            diverged = [
+                name for name in ref_stats
+                if ref_stats[name] != opt_stats[name]
+            ]
+            assert not diverged, (
+                f"CoreStats diverged on {diverged} for {workload} "
+                f"{config.label} seed={seed} ({variant} variant)"
+            )
+            assert ref_stream == opt_stream, (
+                f"retire streams diverged for {workload} {config.label} "
+                f"seed={seed} ({variant} variant)"
+            )

@@ -87,6 +87,15 @@ class TestBackendFuzzSmoke:
         with pytest.raises(ReproError):
             run_case(case, backend="sampled")
 
+    def test_injection_refused_off_reference(self):
+        # the compiled loop inlines the methods injections wrap, so an
+        # injected run there would silently plant nothing
+        case = canonical_cases(max_instructions=300)[1]
+        assert run_case(case, inject="skip-reissue") is not None
+        for inject in INJECTIONS:
+            with pytest.raises(ReproError, match="plants nothing"):
+                run_case(case, inject=inject, backend="optimized")
+
     def test_case_dict_round_trip(self):
         case = random_case(random.Random(7))
         clone = FuzzCase.from_dict(

@@ -183,7 +183,8 @@ class TestRestore:
         assert restored.stats == fresh.stats
 
     def test_refuses_another_simulator_class(self):
-        snapshot = warm_snapshot("int_test", warmup=WARMUP)
+        snapshot = warm_snapshot("int_test", warmup=WARMUP,
+                                 backend="reference")
         for backend in ("optimized", "sampled"):
             with pytest.raises(ConfigError, match="warm snapshot"):
                 simulate("int_test", instructions=300, warmup=WARMUP,
@@ -203,7 +204,8 @@ class TestRestore:
             simulate(instructions=300, warm=snapshot, **run)
 
     def test_restore_after_detailed_simulation_raises(self):
-        snapshot = warm_snapshot("int_test", warmup=WARMUP)
+        snapshot = warm_snapshot("int_test", warmup=WARMUP,
+                                 backend="reference")
         sim = Simulator(CoreConfig.base(), workload_profiles("int_test"))
         sim.restore_warmup(snapshot, WARMUP)
         sim.run(100)
