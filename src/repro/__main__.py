@@ -949,7 +949,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--workers", type=int, default=2,
-        help="concurrent cell executions (default 2)",
+        help="worker threads executing cells (default 2); inline cells "
+             "share one interpreter lock, so simulations run in "
+             "parallel only in forked cells (--isolate process, or an "
+             "armed --cell-timeout)",
     )
     serve_parser.add_argument(
         "--lane-depth", type=int, default=64,

@@ -31,6 +31,13 @@ class OpClass(enum.Enum):
     NOP = "nop"
     MEM_BARRIER = "mem_barrier"
 
+    # Members are singletons compared by identity, so the C-level
+    # identity hash is enough.  Enum's default hashes the member name in
+    # Python code on every set or dict lookup (the ``is_memory`` /
+    # ``is_control`` tests below run once per simulated instruction),
+    # and that string hash is randomised per process anyway.
+    __hash__ = object.__hash__
+
     @property
     def is_memory(self) -> bool:
         """Whether the op accesses the data cache."""

@@ -114,10 +114,6 @@ class Cache:
         """The set index of ``addr``."""
         return self.line_addr(addr) & self._set_mask
 
-    def bank_index(self, addr: int) -> int:
-        """The bank ``addr`` maps to (line-interleaved)."""
-        return self.line_addr(addr) & self._bank_mask
-
     # -- operations ----------------------------------------------------------
 
     def probe(self, addr: int) -> bool:
@@ -133,21 +129,23 @@ class Cache:
         the same bank is recorded in ``stats.bank_conflicts`` (the caller
         decides what penalty to charge).
         """
-        self.stats.accesses += 1
-        if cycle is not None:
-            self._track_bank(addr, cycle)
-        line = self.line_addr(addr)
-        ways = self._sets[self.set_index(addr)]
+        stats = self.stats
+        stats.accesses += 1
+        line = addr >> self._line_shift
+        if cycle is not None and self._bank_mask:
+            self._track_bank(line, cycle)
+        ways = self._sets[line & self._set_mask]
         if line in ways:
-            ways.remove(line)
-            ways.append(line)
-            self.stats.hits += 1
+            if ways[-1] != line:  # the most recent line keeps its place
+                ways.remove(line)
+                ways.append(line)
+            stats.hits += 1
             return True
-        self.stats.misses += 1
+        stats.misses += 1
         ways.append(line)
         if len(ways) > self.config.assoc:
             ways.pop(0)
-            self.stats.evictions += 1
+            stats.evictions += 1
         return False
 
     def had_bank_conflict(self, addr: int, cycle: int) -> bool:
@@ -156,19 +154,18 @@ class Cache:
         Must be called *before* :meth:`access` registers the access; the
         hierarchy wraps this ordering.
         """
-        if self.config.banks <= 1:
+        if not self._bank_mask or cycle != self._bank_use_cycle:
             return False
-        if cycle != self._bank_use_cycle:
-            return False
-        return self._banks_in_use.get(self.bank_index(addr), 0) > 0
+        bank = (addr >> self._line_shift) & self._bank_mask
+        return self._banks_in_use.get(bank, 0) > 0
 
-    def _track_bank(self, addr: int, cycle: int) -> None:
-        if self.config.banks <= 1:
-            return
+    def _track_bank(self, line: int, cycle: int) -> None:
+        """Record a banked access to ``line`` (single-bank caches skip
+        this)."""
         if cycle != self._bank_use_cycle:
             self._bank_use_cycle = cycle
             self._banks_in_use = {}
-        bank = self.bank_index(addr)
+        bank = line & self._bank_mask
         if self._banks_in_use.get(bank, 0) > 0:
             self.stats.bank_conflicts += 1
         self._banks_in_use[bank] = self._banks_in_use.get(bank, 0) + 1

@@ -52,22 +52,23 @@ class TLB:
         self._pages: List[int] = []
         self._page_shift = config.page_bytes.bit_length() - 1
 
-    def page_of(self, addr: int) -> int:
-        """Virtual page number of ``addr``."""
-        return addr >> self._page_shift
-
     def access(self, addr: int) -> bool:
         """Translate ``addr``; returns True on hit, filling on a miss."""
         self.stats.accesses += 1
-        page = self.page_of(addr)
-        if page in self._pages:
-            self._pages.remove(page)
-            self._pages.append(page)
+        page = addr >> self._page_shift
+        pages = self._pages
+        # the most recent page keeps its place; test it before the scan,
+        # which walks the list from the least recent end
+        if pages and pages[-1] == page:
+            return True
+        if page in pages:
+            pages.remove(page)
+            pages.append(page)
             return True
         self.stats.misses += 1
-        self._pages.append(page)
-        if len(self._pages) > self.config.entries:
-            self._pages.pop(0)
+        pages.append(page)
+        if len(pages) > self.config.entries:
+            pages.pop(0)
         return False
 
     def invalidate_all(self) -> None:

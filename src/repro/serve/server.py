@@ -9,9 +9,17 @@ job queue -> core scheduler -> storage)::
            submits coalesce onto one in-flight job)
         -> bounded priority lanes (interactive > batch) with 429-style
            load shedding
-        -> worker pool, each execution under a lease
-        -> repro.harness.run_cell (subprocess isolation, watchdog,
-           classified retries)  -> shared ResultCache (storage)
+        -> worker threads, each execution under a lease
+        -> repro.harness.run_cell (watchdog, classified retries)
+           -> shared ResultCache (storage)
+
+Where a cell runs follows the harness's ``isolate`` setting.  With the
+defaults (``--isolate auto`` and no ``--cell-timeout``) cells run
+inline on the worker threads, which share one interpreter lock:
+``--workers N`` overlaps queueing, protocol and cache I/O, but at most
+one simulation runs at a time.  ``--isolate process`` (or an armed
+``--cell-timeout``) forks a subprocess per cell, which simulates in
+parallel and adds the hang watchdog.
 
 Robustness properties, each tested by the chaos suite:
 
@@ -86,7 +94,10 @@ class ServeSettings:
     host: str = "127.0.0.1"
     #: 0 = pick a free port (reported by ``CampaignServer.port``).
     port: int = 0
-    #: Concurrent cell executions (each one a leased worker slot).
+    #: Worker threads, each executing one leased cell at a time.  Inline
+    #: cells (the default isolation) share the interpreter lock, so
+    #: only forked cells (``isolate="process"``, or ``"auto"`` with a
+    #: cell timeout) simulate in parallel.
     workers: int = 2
     #: Queued jobs tolerated per priority lane before load shedding.
     lane_depth: int = 64

@@ -366,6 +366,86 @@ class TestDeadlockDiagnostics:
 # ---------------------------------------------------------------------------
 
 
+def _stats_dict(stats):
+    """Every ``CoreStats`` field as a comparable value."""
+    from dataclasses import fields
+
+    out = {}
+    for f in fields(stats):
+        value = getattr(stats, f.name)
+        if f.name == "per_thread":
+            value = tuple(
+                tuple((g.name, getattr(t, g.name)) for g in fields(t))
+                for t in value
+            )
+        elif isinstance(value, dict):
+            value = tuple(
+                sorted((str(k), v) for k, v in value.items())
+            )
+        elif isinstance(value, list):
+            value = tuple(value)
+        out[f.name] = value
+    return out
+
+
+def _run_exact(backend, config, workload, seed, probed, instructions=1200):
+    """One run on an exact backend: (stats dict, retire stream).
+
+    ``probed`` attaches an event bus with a live differential
+    :class:`~repro.verify.Verifier` (the compiled loop's probe variant);
+    otherwise no bus is attached (the no-probe variant)."""
+    from repro.core.backend import RetireStreamRecorder, get_backend
+    from repro.obs.bus import EventBus
+    from repro.verify import Verifier
+    from repro.workloads import workload_profiles as resolve
+
+    kernel = get_backend(backend)
+    sim = kernel.build(config, resolve(workload), seed=seed)
+    # same order as simulate(): warm up first — the verifier's
+    # oracle snapshots generator positions when it attaches
+    sim.functional_warmup(3000)
+    verifier = bus = None
+    if probed:
+        bus = EventBus()
+        verifier = Verifier()
+        verifier.attach(sim, bus)
+    recorder = RetireStreamRecorder()
+    recorder.install(sim)
+    if probed:
+        sim.attach_obs(bus)
+    stats = kernel.run(sim, instructions, warmup=200)
+    if verifier is not None:
+        verifier.finish(stats)
+        verifier.raise_if_failed(context=f"{backend}/{workload}")
+    return _stats_dict(stats), recorder.stream
+
+
+def _assert_kernels_agree(config, workload, seed, instructions=1200):
+    """Reference and optimized agree on both compiled loop variants;
+    returns the reference's stats dict (from the no-probe run)."""
+    for probed in (True, False):
+        variant = "probe" if probed else "no-probe"
+        ref_stats, ref_stream = _run_exact(
+            "reference", config, workload, seed, probed, instructions
+        )
+        opt_stats, opt_stream = _run_exact(
+            "optimized", config, workload, seed, probed, instructions
+        )
+        diverged = [
+            name for name in ref_stats
+            if ref_stats[name] != opt_stats[name]
+        ]
+        assert not diverged, (
+            f"CoreStats diverged on {diverged} for {workload} "
+            f"{config.label} seed={seed} ({variant} variant)"
+        )
+        assert ref_stream == opt_stream, (
+            f"retire streams diverged for {workload} {config.label} "
+            f"seed={seed} ({variant} variant)"
+        )
+    return ref_stats
+
+
 class TestBackendEquivalenceProperty:
     """Random (config, workload, seed) triples: the optimized backend
     must reproduce the reference backend bit for bit — identical
@@ -378,53 +458,6 @@ class TestBackendEquivalenceProperty:
         "int_test", "compress", "m88ksim", "swim",
         "go+su2cor", "apsi+swim", "pointer_chase",
     )
-
-    @staticmethod
-    def _stats_dict(stats):
-        from dataclasses import fields
-
-        out = {}
-        for f in fields(stats):
-            value = getattr(stats, f.name)
-            if f.name == "per_thread":
-                value = tuple(
-                    tuple((g.name, getattr(t, g.name)) for g in fields(t))
-                    for t in value
-                )
-            elif isinstance(value, dict):
-                value = tuple(
-                    sorted((str(k), v) for k, v in value.items())
-                )
-            elif isinstance(value, list):
-                value = tuple(value)
-            out[f.name] = value
-        return out
-
-    def _run_backend(self, backend, config, workload, seed, probed):
-        from repro.core.backend import RetireStreamRecorder, get_backend
-        from repro.obs.bus import EventBus
-        from repro.verify import Verifier
-        from repro.workloads import workload_profiles as resolve
-
-        kernel = get_backend(backend)
-        sim = kernel.build(config, resolve(workload), seed=seed)
-        # same order as simulate(): warm up first — the verifier's
-        # oracle snapshots generator positions when it attaches
-        sim.functional_warmup(3000)
-        verifier = bus = None
-        if probed:
-            bus = EventBus()
-            verifier = Verifier()
-            verifier.attach(sim, bus)
-        recorder = RetireStreamRecorder()
-        recorder.install(sim)
-        if probed:
-            sim.attach_obs(bus)
-        stats = kernel.run(sim, 1200, warmup=200)
-        if verifier is not None:
-            verifier.finish(stats)
-            verifier.raise_if_failed(context=f"{backend}/{workload}")
-        return self._stats_dict(stats), recorder.stream
 
     import hypothesis
     import hypothesis.strategies as st
@@ -440,12 +473,13 @@ class TestBackendEquivalenceProperty:
         ports=st.sampled_from(
             (None, "oldest_first", "operand_share", "banked")
         ),
+        iq_entries=st.sampled_from((32, 64, 128)),
         seed=st.integers(min_value=0, max_value=10_000),
     )
     @hypothesis.settings(max_examples=6, deadline=None)
     def test_reference_and_optimized_agree(
         self, workload, dra, rf, recovery, memdep, fetch_policy, slotting,
-        ports, seed,
+        ports, iq_entries, seed,
     ):
         from repro.core.config import PortConfig
         from repro.core.memdep import MemDepConfig, MemDepPolicy
@@ -458,6 +492,7 @@ class TestBackendEquivalenceProperty:
             ),
             fetch_policy=fetch_policy,
             slotting=slotting,
+            iq_entries=iq_entries,
         )
         if ports is not None:
             # 4 ports contend on every workload (16 is the full budget)
@@ -468,23 +503,103 @@ class TestBackendEquivalenceProperty:
             CoreConfig.with_dra(rf, **knobs) if dra
             else CoreConfig.base(rf, **knobs)
         )
-        for probed in (True, False):
-            variant = "probe" if probed else "no-probe"
-            ref_stats, ref_stream = self._run_backend(
-                "reference", config, workload, seed, probed
-            )
-            opt_stats, opt_stream = self._run_backend(
-                "optimized", config, workload, seed, probed
-            )
-            diverged = [
-                name for name in ref_stats
-                if ref_stats[name] != opt_stats[name]
-            ]
-            assert not diverged, (
-                f"CoreStats diverged on {diverged} for {workload} "
-                f"{config.label} seed={seed} ({variant} variant)"
-            )
-            assert ref_stream == opt_stream, (
-                f"retire streams diverged for {workload} {config.label} "
-                f"seed={seed} ({variant} variant)"
-            )
+        _assert_kernels_agree(config, workload, seed)
+
+
+class TestWakeupSelectMatrix:
+    """The optimized kernel's select parks an IQ entry whose source has
+    no published wakeup time, and wakes it when the loop publishes one:
+    at issue, or through the ``"spec"`` event.  One deterministic case
+    per park and wake site, each held to ``reference`` on the full
+    ``CoreStats`` and the retire stream, in both compiled variants."""
+
+    def test_reissue_recovery_retracts_and_republishes(self):
+        # a missed load's publication is retracted at notify and
+        # re-published at resolution: dependents park in between
+        stats = _assert_kernels_agree(
+            CoreConfig.base(5), "pointer_chase", 3, instructions=1500
+        )
+        assert stats["load_misspeculations"] > 0
+
+    @pytest.mark.parametrize("recovery", ["stall", "ssr"])
+    def test_held_loads_wake_only_on_the_spec_event(self, recovery):
+        # loads publish nothing at issue: the "spec" event is the only
+        # wake for their dependents
+        config = CoreConfig.base(5, load_recovery=LoadRecovery(recovery))
+        stats = _assert_kernels_agree(
+            config, "pointer_chase", 3, instructions=1500
+        )
+        # misses delay the publication well past the load's issue
+        assert stats["load_l1_misses"] > 0
+
+    def test_refetch_flush_sees_every_parked_entry(self):
+        config = CoreConfig.base(5, load_recovery=LoadRecovery.REFETCH)
+        stats = _assert_kernels_agree(config, "swim", 3, instructions=1500)
+        assert stats["load_refetch_flushes"] > 0
+
+    def test_memdep_trap_sees_every_parked_entry(self):
+        from repro.core.memdep import MemDepConfig, MemDepPolicy
+
+        config = CoreConfig.base(
+            5, memdep=MemDepConfig(policy=MemDepPolicy.NAIVE)
+        )
+        stats = _assert_kernels_agree(config, "swim", 3, instructions=1500)
+        assert stats["memdep_traps"] > 0
+
+    def test_dependence_slotting_counts_parked_entries(self):
+        # slot limit 2 * 32 / 8 = 8 binds while entries are parked
+        config = CoreConfig.base(5, iq_entries=32, slotting="dependence")
+        _assert_kernels_agree(config, "pointer_chase", 3, instructions=1500)
+
+    def test_dra_smt_pair(self):
+        _assert_kernels_agree(
+            CoreConfig.with_dra(5), "apsi+swim", 3, instructions=1500
+        )
+
+
+class TestCompiledLoopReentrancy:
+    """The sampled backend calls ``run()`` once per window on one
+    simulator, with functional fast-forward in between.  The compiled
+    loop's wakeup lists live for one call, so every parked entry must be
+    back in its pool when the call returns."""
+
+    @staticmethod
+    def _windows(simulator_class, config, workload):
+        from repro.core.backend import RetireStreamRecorder
+
+        sim = simulator_class(config, workload_profiles(workload), seed=5)
+        recorder = RetireStreamRecorder()
+        recorder.install(sim)
+        sim.functional_warmup(3000)
+        pool_sizes = []
+        for window in range(3):
+            if window:
+                sim._functional_stream(2000)
+            sim.run(600, warmup=sim.stats.retired + 100)
+            iq = sim.iq
+            for pool in iq._unissued:
+                uids = [inst.uid for inst in pool]
+                assert uids == sorted(uids), f"pool out of age order ({window=})"
+            # every unissued entry sits in a pool: none left parked
+            unissued = sum(len(pool) for pool in iq._unissued)
+            assert unissued == iq.count - iq.issued_waiting, f"{window=}"
+            pool_sizes.append([len(pool) for pool in iq._unissued])
+        return _stats_dict(sim.stats), recorder.stream, pool_sizes
+
+    @pytest.mark.parametrize("workload,config", [
+        ("pointer_chase", CoreConfig.base(5)),
+        ("apsi+swim", CoreConfig.with_dra(5)),
+    ], ids=["pointer_chase-base5", "apsi+swim-dra5"])
+    def test_windows_match_reference(self, workload, config):
+        from repro.core.fastsim import OptimizedSimulator
+
+        ref_stats, ref_stream, ref_pools = self._windows(
+            Simulator, config, workload
+        )
+        opt_stats, opt_stream, opt_pools = self._windows(
+            OptimizedSimulator, config, workload
+        )
+        assert opt_pools == ref_pools
+        diverged = [k for k in ref_stats if ref_stats[k] != opt_stats[k]]
+        assert not diverged, f"CoreStats diverged on {diverged}"
+        assert opt_stream == ref_stream
