@@ -14,12 +14,13 @@ a backend by name and stays agnostic of the execution strategy:
     names it explicitly rather than taking the default.
 
 ``optimized``
-    :class:`~repro.core.fastsim.OptimizedSimulator` — the compiled
-    probe-variant tick with flattened hot paths and fast workload
-    generation.  *Exact*: bit-identical ``CoreStats`` and retire
-    streams, enforced by the backend-equivalence matrix
-    (``tests/test_backend.py``, golden pins, differential laws, fuzz
-    smoke).  The default (:data:`DEFAULT_BACKEND`).
+    :class:`~repro.core.fastsim.OptimizedSimulator` — the whole run
+    loop as one flat function with flattened hot paths, plus fast
+    workload generation.  *Exact*: bit-identical ``CoreStats``, retire
+    streams and event streams, enforced by the backend-equivalence
+    matrix (``tests/test_backend.py``, ``tests/test_pipeline.py``,
+    golden pins, differential laws, fuzz smoke).  The default
+    (:data:`DEFAULT_BACKEND`).
 
 ``sampled``
     SMARTS-style systematic sampling on top of the optimized tick:

@@ -1139,37 +1139,59 @@ class Simulator:
 
         The engine behind :meth:`functional_warmup`; the sampled
         backend also calls it mid-run to fast-forward between detailed
-        measurement windows.
+        measurement windows.  Both kernels run it, so it is written for
+        speed: loop-invariant lookups are hoisted, op classes are tested
+        by identity, and ops come straight from the engine's
+        ``next_op`` (every engine's ``stream()`` is
+        ``while True: yield next_op()``).
         """
+        BRANCH = OpClass.BRANCH
+        CALL = OpClass.CALL
+        RETURN = OpClass.RETURN
+        JUMP = OpClass.JUMP
+        LOAD = OpClass.LOAD
+        STORE = OpClass.STORE
+        fetch = self.hierarchy.fetch
+        load = self.hierarchy.load
+        store = self.hierarchy.store
+        predict = self.predictor.predict
+        update = self.predictor.update
+        install = self.btb.install
+        line_predictor = self.line_predictor
         for thread in self.threads:
+            replay = thread.replay
+            ops_next = thread.generator.next_op
+            ras_push = thread.ras.push
+            ras_pop = thread.ras.pop
             for i in range(ops_per_thread):
-                op = thread.next_op()
+                op = replay.popleft() if replay else ops_next()
                 opclass = op.opclass
-                if i % 4 == 0:
-                    self.hierarchy.fetch(op.pc)
-                if self.line_predictor is not None:
+                if not i & 3:
+                    fetch(op.pc)
+                if line_predictor is not None:
                     if thread.last_taken_pc is not None:
-                        self.line_predictor.observe(thread.last_taken_pc, op.pc)
+                        line_predictor.observe(thread.last_taken_pc, op.pc)
                         thread.last_taken_pc = None
-                    if op.opclass.is_control and op.taken:
+                    if (opclass is BRANCH or opclass is CALL
+                            or opclass is RETURN or opclass is JUMP) \
+                            and op.taken:
                         thread.last_taken_pc = op.pc
-                if opclass is OpClass.BRANCH:
-                    self.predictor.predict(op.pc)
-                    self.predictor.update(op.pc, op.taken)
+                if opclass is BRANCH:
+                    predict(op.pc)
+                    update(op.pc, op.taken)
                     if op.taken:
-                        self.btb.install(op.pc, op.target)
-                elif opclass is OpClass.CALL:
-                    thread.ras.push(op.pc + 4)
-                    self.btb.install(op.pc, op.target)
-                elif opclass is OpClass.RETURN:
-                    thread.ras.pop()
-                elif opclass is OpClass.JUMP:
-                    self.btb.install(op.pc, op.target)
-                elif opclass.is_memory:
-                    if opclass is OpClass.LOAD:
-                        self.hierarchy.load(op.address)
-                    else:
-                        self.hierarchy.store(op.address)
+                        install(op.pc, op.target)
+                elif opclass is CALL:
+                    ras_push(op.pc + 4)
+                    install(op.pc, op.target)
+                elif opclass is RETURN:
+                    ras_pop()
+                elif opclass is JUMP:
+                    install(op.pc, op.target)
+                elif opclass is LOAD:
+                    load(op.address)
+                elif opclass is STORE:
+                    store(op.address)
 
     @classmethod
     def warm_key(

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core import CoreConfig, LoadRecovery
+from repro.core.config import PortConfig
+from repro.core.memdep import MemDepConfig, MemDepPolicy
 from repro.core.pipeline import Simulator
 from repro.core.stats import ReissueCause
 from repro.isa import OpClass
@@ -77,6 +79,20 @@ def run(profile, config=None, instructions=2000, warmup=0, functional=20_000):
     return sim
 
 
+def exact_kernels():
+    """The simulator class of every exact backend, reference first.
+
+    Tests of the run loop's own exits (the argument check, the cycle
+    cap, the deadlock detector) loop over these: the compiled loop has
+    its own copy of each exit."""
+    from repro.core.backend import available_backends, get_backend
+
+    return [
+        get_backend(name).simulator_class
+        for name in available_backends() if get_backend(name).exact
+    ]
+
+
 class TestBasicExecution:
     def test_retires_requested_instructions(self):
         sim = run(quiet_profile(), instructions=1500)
@@ -129,9 +145,26 @@ class TestBasicExecution:
         )
 
     def test_run_validates_instruction_count(self):
-        sim = Simulator(CoreConfig.base(), [quiet_profile()], seed=0)
-        with pytest.raises(ValueError):
+        for kernel in exact_kernels():
+            sim = kernel(CoreConfig.base(), [quiet_profile()], seed=0)
+            with pytest.raises(ValueError):
+                sim.run(0)
+
+    def test_compiled_loop_error_has_source_traceback(self):
+        # the compiled loop is module code: its frames point at real
+        # lines of fastsim.py, so tracebacks, coverage and lint see it
+        import os
+        import traceback
+
+        from repro.core.fastsim import OptimizedSimulator
+        from repro.errors import ConfigError
+
+        sim = OptimizedSimulator(CoreConfig.base(), [quiet_profile()], seed=0)
+        with pytest.raises(ConfigError) as excinfo:
             sim.run(0)
+        innermost = traceback.extract_tb(excinfo.value.__traceback__)[-1]
+        assert os.path.basename(innermost.filename) == "fastsim.py"
+        assert innermost.line.startswith("raise ConfigError(")
 
     def test_functional_warmup_must_precede_run(self):
         sim = Simulator(CoreConfig.base(), [quiet_profile()], seed=0)
@@ -140,9 +173,10 @@ class TestBasicExecution:
             sim.functional_warmup(100)
 
     def test_max_cycles_caps_run(self):
-        sim = Simulator(CoreConfig.base(), [quiet_profile()], seed=0)
-        sim.run(100_000, max_cycles=200)
-        assert sim.cycle == 200
+        for kernel in exact_kernels():
+            sim = kernel(CoreConfig.base(), [quiet_profile()], seed=0)
+            sim.run(100_000, max_cycles=200)
+            assert sim.cycle == 200, kernel.__name__
 
 
 class TestLoadResolutionLoop:
@@ -313,52 +347,73 @@ class TestDTLB:
 
 
 class TestDeadlockDiagnostics:
+    @staticmethod
+    def _shrink_window(monkeypatch, cycles):
+        # each kernel's run loop reads its own module's window
+        from repro.core import fastsim, pipeline
+
+        monkeypatch.setattr(pipeline, "_DEADLOCK_WINDOW", cycles)
+        monkeypatch.setattr(fastsim, "_DEADLOCK_WINDOW", cycles)
+
     def test_hang_raises_structured_error_with_snapshot(self, monkeypatch):
-        from repro.core import pipeline as pipeline_mod
         from repro.errors import SimulationHangError
 
-        monkeypatch.setattr(pipeline_mod, "_DEADLOCK_WINDOW", 50)
-        sim = Simulator(CoreConfig.base(), [quiet_profile()], seed=0)
-        # Wedge the machine: fetch never unblocks, so nothing ever
-        # retires and the deadlock detector must fire.
-        for thread in sim.threads:
-            thread.fetch_blocked_until = 10**9
-        with pytest.raises(SimulationHangError) as excinfo:
-            sim.run(100)
-        error = excinfo.value
-        assert "deadlock" in str(error)
-        # The structured raise stays a RuntimeError for old callers.
-        assert isinstance(error, RuntimeError)
-        snapshot = error.snapshot
-        assert snapshot is not None
-        assert snapshot.retired == 0
-        assert snapshot.cycle > snapshot.last_retire_cycle
-        assert set(snapshot.stage_occupancy) == {
-            "fetch/decode", "rename->IQ", "issue queue", "execute", "rob",
-        }
-        text = snapshot.describe()
-        assert "stage occupancy" in text
-        assert str(snapshot.cycle) in text
+        self._shrink_window(monkeypatch, 50)
+        for kernel in exact_kernels():
+            sim = kernel(CoreConfig.base(), [quiet_profile()], seed=0)
+            # Wedge the machine: fetch never unblocks, so nothing ever
+            # retires and the deadlock detector must fire.
+            for thread in sim.threads:
+                thread.fetch_blocked_until = 10**9
+            with pytest.raises(SimulationHangError) as excinfo:
+                sim.run(100)
+            error = excinfo.value
+            assert "deadlock" in str(error)
+            # The structured raise stays a RuntimeError for old callers.
+            assert isinstance(error, RuntimeError)
+            snapshot = error.snapshot
+            assert snapshot is not None
+            assert snapshot.retired == 0
+            assert snapshot.cycle > snapshot.last_retire_cycle
+            assert set(snapshot.stage_occupancy) == {
+                "fetch/decode", "rename->IQ", "issue queue", "execute", "rob",
+            }
+            text = snapshot.describe()
+            assert "stage occupancy" in text
+            assert str(snapshot.cycle) in text
 
     def test_snapshot_reports_oldest_inflight_instruction(self, monkeypatch):
-        from repro.core import pipeline as pipeline_mod
+        import re
+
         from repro.errors import SimulationHangError
 
-        monkeypatch.setattr(pipeline_mod, "_DEADLOCK_WINDOW", 500)
-        sim = Simulator(CoreConfig.base(), [quiet_profile()], seed=0)
-        # Let the pipeline fill and retire normally for a while...
-        sim.run(200)
-        # ...then freeze retirement while the front end keeps fetching.
-        monkeypatch.setattr(
-            pipeline_mod.Simulator, "_retire", lambda self, cycle: None
-        )
-        with pytest.raises(SimulationHangError) as excinfo:
-            sim.run(5_000)
-        snapshot = excinfo.value.snapshot
-        assert snapshot.inflight > 0
-        assert snapshot.stage_occupancy["rob"] > 0
-        assert snapshot.oldest_instruction is not None
-        assert "uid=" in snapshot.oldest_instruction
+        self._shrink_window(monkeypatch, 500)
+        snapshots = []
+        for kernel in exact_kernels():
+            sim = kernel(CoreConfig.base(), [quiet_profile()], seed=0)
+            # Let the pipeline fill and retire normally for a while...
+            sim.run(200)
+            # ...then wedge every instruction that has not issued yet:
+            # the oldest of them blocks retirement while the front end
+            # keeps fetching.
+            for thread in sim.threads:
+                waiting = list(thread.rob) + [
+                    inst for _, inst in thread.insert_pipe
+                ] + [inst for _, inst in thread.fetch_pipe]
+                for inst in waiting:
+                    if inst.issue_count == 0:
+                        inst.min_reissue_cycle = 10**9
+            with pytest.raises(SimulationHangError) as excinfo:
+                sim.run(5_000)
+            snapshot = excinfo.value.snapshot
+            assert snapshot.inflight > 0
+            assert snapshot.stage_occupancy["rob"] > 0
+            assert snapshot.oldest_instruction is not None
+            assert "uid=" in snapshot.oldest_instruction
+            # uids come from a process-wide counter
+            snapshots.append(re.sub(r"uid=\d+", "uid=#", snapshot.describe()))
+        # every kernel hangs in the same state
+        assert len(set(snapshots)) == 1, snapshots
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +447,9 @@ def _run_exact(backend, config, workload, seed, probed, instructions=1200):
     """One run on an exact backend: (stats dict, retire stream).
 
     ``probed`` attaches an event bus with a live differential
-    :class:`~repro.verify.Verifier` (the compiled loop's probe variant);
-    otherwise no bus is attached (the no-probe variant)."""
+    :class:`~repro.verify.Verifier`, so the compiled loop runs its
+    ``if probing:`` blocks; otherwise no bus is attached, as in every
+    default run."""
     from repro.core.backend import RetireStreamRecorder, get_backend
     from repro.obs.bus import EventBus
     from repro.verify import Verifier
@@ -421,10 +477,10 @@ def _run_exact(backend, config, workload, seed, probed, instructions=1200):
 
 
 def _assert_kernels_agree(config, workload, seed, instructions=1200):
-    """Reference and optimized agree on both compiled loop variants;
-    returns the reference's stats dict (from the no-probe run)."""
+    """Reference and optimized agree with a bus attached and without;
+    returns the reference's stats dict (from the detached run)."""
     for probed in (True, False):
-        variant = "probe" if probed else "no-probe"
+        mode = "observed" if probed else "detached"
         ref_stats, ref_stream = _run_exact(
             "reference", config, workload, seed, probed, instructions
         )
@@ -437,11 +493,11 @@ def _assert_kernels_agree(config, workload, seed, instructions=1200):
         ]
         assert not diverged, (
             f"CoreStats diverged on {diverged} for {workload} "
-            f"{config.label} seed={seed} ({variant} variant)"
+            f"{config.label} seed={seed} ({mode} run)"
         )
         assert ref_stream == opt_stream, (
             f"retire streams diverged for {workload} {config.label} "
-            f"seed={seed} ({variant} variant)"
+            f"seed={seed} ({mode} run)"
         )
     return ref_stats
 
@@ -449,10 +505,12 @@ def _assert_kernels_agree(config, workload, seed, instructions=1200):
 class TestBackendEquivalenceProperty:
     """Random (config, workload, seed) triples: the optimized backend
     must reproduce the reference backend bit for bit — identical
-    ``CoreStats`` and retire streams.  Each example runs both compiled
-    loop variants: the *probe* variant (bus attached, both runs clean
-    under the differential :class:`~repro.verify.Verifier`) and the
-    *no-probe* variant every default run takes (no bus at all)."""
+    ``CoreStats`` and retire streams.  Each example runs both kernels
+    twice: *observed* (bus attached, both runs clean under the
+    differential :class:`~repro.verify.Verifier`) and *detached*, as
+    every default run is (no bus at all).  The compiled loop is one
+    function either way; the detached half checks that skipping its
+    ``if probing:`` blocks changes nothing the machine computes."""
 
     WORKLOADS = (
         "int_test", "compress", "m88ksim", "swim",
@@ -481,9 +539,6 @@ class TestBackendEquivalenceProperty:
         self, workload, dra, rf, recovery, memdep, fetch_policy, slotting,
         ports, iq_entries, seed,
     ):
-        from repro.core.config import PortConfig
-        from repro.core.memdep import MemDepConfig, MemDepPolicy
-
         knobs = dict(
             load_recovery=LoadRecovery(recovery),
             memdep=(
@@ -511,7 +566,7 @@ class TestWakeupSelectMatrix:
     no published wakeup time, and wakes it when the loop publishes one:
     at issue, or through the ``"spec"`` event.  One deterministic case
     per park and wake site, each held to ``reference`` on the full
-    ``CoreStats`` and the retire stream, in both compiled variants."""
+    ``CoreStats`` and the retire stream, observed and detached."""
 
     def test_reissue_recovery_retracts_and_republishes(self):
         # a missed load's publication is retracted at notify and
@@ -538,8 +593,6 @@ class TestWakeupSelectMatrix:
         assert stats["load_refetch_flushes"] > 0
 
     def test_memdep_trap_sees_every_parked_entry(self):
-        from repro.core.memdep import MemDepConfig, MemDepPolicy
-
         config = CoreConfig.base(
             5, memdep=MemDepConfig(policy=MemDepPolicy.NAIVE)
         )
@@ -555,6 +608,75 @@ class TestWakeupSelectMatrix:
         _assert_kernels_agree(
             CoreConfig.with_dra(5), "apsi+swim", 3, instructions=1500
         )
+
+
+def _event_stream(backend, config, workload, seed, instructions=800):
+    """Every event an observed run emits, as ``Event.to_dict()`` records.
+
+    uids come from a process-wide counter, so they are renumbered in
+    first-seen order."""
+    from repro.core.backend import get_backend
+    from repro.obs.bus import EventBus
+
+    kernel = get_backend(backend)
+    sim = kernel.build(config, workload_profiles(workload), seed=seed)
+    sim.functional_warmup(3000)
+    bus = EventBus()
+    events = []
+    bus.subscribe(None, events.append)
+    sim.attach_obs(bus)
+    kernel.run(sim, instructions, warmup=200)
+    uids = {}
+    stream = []
+    for event in events:
+        record = event.to_dict()
+        if "uid" in record:
+            record["uid"] = uids.setdefault(record["uid"], len(uids))
+        stream.append(record)
+    return stream
+
+
+class TestObservedEventStream:
+    """With a bus attached, the optimized kernel emits the reference
+    kernel's event stream: the same events in the same order with the
+    same fields.  ``docs/kernel.md`` promises this identity; it is also
+    the check that every probe of the compiled loop sits where the
+    reference's does.  Each case names an event its path must emit."""
+
+    @pytest.mark.parametrize("workload,config,witness", [
+        ("int_test", CoreConfig.base(3),
+         lambda e: e["kind"] == "reissue"),
+        ("apsi+swim", CoreConfig.with_dra(5),
+         lambda e: e["kind"] == "crc"),
+        ("swim", CoreConfig.base(5, load_recovery=LoadRecovery.REFETCH),
+         lambda e: e["kind"] == "squash" and e["reason"] == "load_refetch"),
+        ("swim", CoreConfig.base(
+            5, memdep=MemDepConfig(policy=MemDepPolicy.NAIVE)),
+         lambda e: e["kind"] == "squash" and e["reason"] == "memdep_trap"),
+        ("pointer_chase", CoreConfig.base(5, load_recovery=LoadRecovery.SSR),
+         lambda e: e["kind"] == "load_resolved" and not e["speculated"]),
+        ("int_test", CoreConfig.base(
+            5, rf_read_ports=4, ports=PortConfig(arbitration="banked")),
+         lambda e: e["kind"] == "cycle" and e["port_stalls"] > 0),
+    ], ids=[
+        "int_test-base3", "apsi+swim-dra5", "swim-refetch",
+        "swim-memdep-trap", "pointer_chase-ssr", "int_test-banked-ports",
+    ])
+    def test_optimized_emits_the_reference_stream(
+        self, workload, config, witness
+    ):
+        ref = _event_stream("reference", config, workload, seed=3)
+        opt = _event_stream("optimized", config, workload, seed=3)
+        assert any(witness(record) for record in ref)
+        first = next(
+            (i for i, pair in enumerate(zip(ref, opt)) if pair[0] != pair[1]),
+            None,
+        )
+        assert first is None, (
+            f"event {first} of {len(ref)}: reference {ref[first]}, "
+            f"optimized {opt[first]}"
+        )
+        assert len(opt) == len(ref)
 
 
 class TestCompiledLoopReentrancy:
