@@ -3,21 +3,30 @@
 
 Unlike ``tests/test_serve.py`` (in-process servers), this drives
 ``python -m repro serve`` subprocesses exactly as an operator would, and
-walks the service through its four headline robustness claims:
+walks the service through its five headline robustness claims:
 
 1. **dedup** — two concurrent clients submitting the same cell get the
    same result from exactly one simulation.
 2. **crash re-lease** — with an injected worker crash (``REPRO_FAULTS``)
    and no harness retries, the service re-leases the job and the client
-   still gets its result.
-3. **kill -9 + resume** — SIGKILL a server with accepted-but-unfinished
-   jobs; ``loopsim serve --resume`` replays the journal and finishes
-   every one of them into the cache.
-4. **SIGTERM drain** — a terminated server exits 0 with a clean ``drain``
+   still gets its result; once with forked cells, once ``--isolate
+   inline``.
+3. **watchdog kill** — a hung cell is killed by the watchdog and retried
+   on the same lease; the client gets its result, and the server stays
+   up instead of taking the kill for a signal of its own.
+4. **kill -9 + resume** — SIGKILL a server while a forked cell is in
+   flight and more jobs are accepted but unfinished: no cell of the
+   killed server survives it, a new server binds the same port, and
+   ``loopsim serve --resume`` replays the journal and finishes every
+   job into the cache.
+5. **SIGTERM drain** — a terminated server exits 0 with a clean ``drain``
    marker as its final journal record.
 
-Exit code 0 means every scenario held.  Used by the ``serve-smoke`` CI
-job; runnable locally with ``python scripts/serve_chaos.py``.
+Servers run on serve's default isolation (every cell forked, under the
+watchdog) unless a scenario says otherwise.  The orphan check reads
+``/proc``, so the script needs Linux.  Exit code 0 means every scenario
+held.  Used by the ``serve-smoke`` CI job; runnable locally with
+``python scripts/serve_chaos.py``.
 """
 
 import os
@@ -50,7 +59,7 @@ class Server:
     """One ``loopsim serve`` subprocess."""
 
     def __init__(self, workdir: Path, name: str, faults: str = "",
-                 extra_args=()):
+                 extra_args=(), isolate: str = "", port: int = 0):
         self.workdir = workdir
         self.journal = workdir / "journal.jsonl"
         self.cache_dir = workdir / "cache"
@@ -63,9 +72,10 @@ class Server:
             env.pop("REPRO_FAULTS", None)
         command = [
             sys.executable, "-m", "repro", "serve",
-            "--port", "0", "--isolate", "inline",
+            "--port", str(port),
             "--journal", str(self.journal),
             "--cache-dir", str(self.cache_dir),
+            *(("--isolate", isolate) if isolate else ()),
             *extra_args,
         ]
         self._log_handle = self.log.open("w")
@@ -121,6 +131,36 @@ def check(condition: bool, what: str) -> None:
         raise Failure(what)
 
 
+def _stat(pid: int) -> list:
+    """``/proc/PID/stat`` after the command name: state, ppid, ...;
+    empty once the process is gone."""
+    try:
+        text = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return []
+    return text.rsplit(")", 1)[1].split()
+
+
+def running(pid: int) -> bool:
+    """Whether ``pid`` is alive (neither gone nor a zombie)."""
+    fields = _stat(pid)
+    return bool(fields) and fields[0] != "Z"
+
+
+def children(pid: int) -> list:
+    """The running processes whose parent is ``pid``."""
+    return [int(entry.name) for entry in Path("/proc").iterdir()
+            if entry.name.isdigit() and running(int(entry.name))
+            and _stat(int(entry.name))[1:2] == [str(pid)]]
+
+
+def wait_for(condition, what: str, timeout: float = 30.0) -> None:
+    deadline = time.time() + timeout
+    while not condition():
+        check(time.time() < deadline, f"timed out waiting for {what}")
+        time.sleep(0.05)
+
+
 def scenario_dedup(root: Path) -> None:
     """Two concurrent identical submits -> exactly one simulation."""
     workdir = root / "dedup"
@@ -156,12 +196,12 @@ def scenario_dedup(root: Path) -> None:
         server.stop()
 
 
-def scenario_crash_release(root: Path) -> None:
+def scenario_crash_release(root: Path, isolate: str = "") -> None:
     """Worker crash with no harness retries -> service re-leases."""
-    workdir = root / "crash"
+    workdir = root / f"crash-{isolate or 'default'}"
     workdir.mkdir()
     server = Server(workdir, "serve", faults="crash|*|*|*|1",
-                    extra_args=("--retries", "0"))
+                    extra_args=("--retries", "0"), isolate=isolate)
     try:
         with server.client() as client:
             reply = client.submit(WORKLOAD, want_result=False, **TINY)
@@ -172,14 +212,44 @@ def scenario_crash_release(root: Path) -> None:
         check(executed >= 2, f"expected >=2 executions, saw {executed}")
         records = [r["rec"] for r in read_records(server.journal)]
         check("requeued" in records, "journal missing the requeue record")
-        print(f"  crash: lease re-queued (executions={executed:.0f}), "
-              f"result delivered ipc={reply.ipc:.4f}")
+        print(f"  crash ({isolate or 'forked'}): lease re-queued "
+              f"(executions={executed:.0f}), result delivered "
+              f"ipc={reply.ipc:.4f}")
+    finally:
+        server.stop()
+
+
+def scenario_hang_kill(root: Path) -> None:
+    """Hung cell -> killed by the watchdog, retried, server stays up."""
+    workdir = root / "hang"
+    workdir.mkdir()
+    # a 0.5 s lease TTL gives the watchdog a 1.5 s budget
+    server = Server(workdir, "serve", faults="hang|*|*|*|1",
+                    extra_args=("--lease-ttl", "0.5"))
+    try:
+        began = time.time()
+        with server.client(timeout=30, retries=0) as client:
+            reply = client.submit(WORKLOAD, want_result=False, **TINY)
+        took = time.time() - began
+        check(reply.ok, f"hung job not delivered: {reply}")
+        check(reply.attempts == 2, f"expected 2 attempts, saw {reply.attempts}")
+        check(server.process.poll() is None,
+              "the watchdog's kill took the server down")
+        executed = server.metric("executed")
+        check(executed == 1, f"expected 1 execution, saw {executed}")
+        records = [r["rec"] for r in read_records(server.journal)]
+        check("requeued" not in records, "the hung job was re-leased")
+        check(last_drain(server.journal) is None,
+              "the watchdog's kill drained the server")
+        print(f"  hang: killed and retried on its lease, delivered in "
+              f"{took:.1f}s, server still up")
     finally:
         server.stop()
 
 
 def scenario_kill9_resume(root: Path) -> tuple:
-    """SIGKILL with a backlog -> --resume finishes every accepted job."""
+    """SIGKILL mid-cell with a backlog -> no orphan, the port rebinds,
+    and --resume finishes every accepted job."""
     workdir = root / "resume"
     workdir.mkdir()
     # Every first attempt naps far longer than the test: nothing can
@@ -193,9 +263,17 @@ def scenario_kill9_resume(root: Path) -> tuple:
             for spec in specs:
                 reply = client.submit_spec(spec, wait=False)
                 check(reply.ok, "submit not accepted")
+        # kill only once a cell is in flight in its forked worker
+        wait_for(lambda: any(record["rec"] == "leased"
+                             for record in read_records(server.journal)),
+                 "a leased journal record")
+        wait_for(lambda: children(server.process.pid), "a forked cell")
+        workers = children(server.process.pid)
         server.sigkill()
         code = server.wait()
         check(code != 0, "SIGKILL'd server exited cleanly?!")
+        wait_for(lambda: not any(running(pid) for pid in workers),
+                 f"the killed server's workers {workers} to die", 10.0)
     finally:
         server.stop()
     pending = pending_jobs(server.journal)
@@ -203,7 +281,9 @@ def scenario_kill9_resume(root: Path) -> tuple:
           f"journal lost accepted jobs: {len(pending)}/5 pending")
     check(last_drain(server.journal) is None, "dirty shutdown left a drain marker")
 
-    resumed = Server(workdir, "serve-b", extra_args=("--resume", "--workers", "2"))
+    # the killed server's port: a surviving worker would still hold it
+    resumed = Server(workdir, "serve-b", port=server.port,
+                     extra_args=("--resume", "--workers", "2"))
     try:
         deadline = time.time() + 120
         while time.time() < deadline:
@@ -218,8 +298,9 @@ def scenario_kill9_resume(root: Path) -> tuple:
         cache = ResultCache(server.cache_dir)
         missing = [key[:8] for key in keys if cache.get(key) is None]
         check(not missing, f"cache missing resumed cells: {missing}")
-        print("  kill -9: 5 accepted jobs journaled, replayed and "
-              "finished after --resume")
+        print(f"  kill -9: {len(workers)} in-flight worker(s) died with "
+              f"the server, port {server.port} rebound; 5 accepted jobs "
+              "journaled, replayed and finished after --resume")
     except BaseException:
         resumed.stop()
         raise
@@ -247,6 +328,9 @@ def main() -> int:
         scenario_dedup(root)
         print("serve chaos: worker crash -> lease re-queue")
         scenario_crash_release(root)
+        scenario_crash_release(root, isolate="inline")
+        print("serve chaos: hung cell -> watchdog kill")
+        scenario_hang_kill(root)
         print("serve chaos: kill -9 -> journal resume")
         resumed, journal = scenario_kill9_resume(root)
         print("serve chaos: SIGTERM -> graceful drain")

@@ -949,10 +949,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--workers", type=int, default=2,
-        help="worker threads executing cells (default 2); inline cells "
-             "share one interpreter lock, so simulations run in "
-             "parallel only in forked cells (--isolate process, or an "
-             "armed --cell-timeout)",
+        help="cells simulated in parallel, each in a forked worker "
+             "(default 2); with --isolate inline the cells share one "
+             "interpreter lock and run one at a time",
     )
     serve_parser.add_argument(
         "--lane-depth", type=int, default=64,
@@ -961,8 +960,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--lease-ttl", type=float, default=120.0, metavar="SECONDS",
-        help="per-job lease budget; expiry requeues the job "
-             "(default 120)",
+        help="per-job lease budget; expiry requeues the job.  A forked "
+             "cell may run lease-ttl x lease-attempts before the hang "
+             "watchdog kills it, unless --cell-timeout is given, and its "
+             "lease covers all of its retries (default 120)",
     )
     serve_parser.add_argument(
         "--lease-attempts", type=int, default=3,
@@ -982,7 +983,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--cell-timeout", type=float, default=None, metavar="SECONDS",
-        help="harness watchdog budget per cell attempt",
+        help="harness watchdog budget per cell attempt (default: "
+             "lease-ttl x lease-attempts)",
     )
     serve_parser.add_argument(
         "--retries", type=int, default=2,
@@ -991,8 +993,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--isolate", default="auto", choices=("auto", "process", "inline"),
-        help="cell isolation mode (default auto: subprocesses whenever "
-             "a timeout is armed)",
+        help="cell isolation mode (default auto, which forks every cell "
+             "because serve always arms the watchdog; inline runs cells "
+             "on the worker threads, without the watchdog)",
     )
     serve_parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",

@@ -15,7 +15,10 @@ Execution modes
 * **process** — the cell runs in a forked worker with a wall-clock
   watchdog; a hung worker is killed and reported as
   :class:`~repro.errors.CellTimeoutError`, a dead one as
-  :class:`~repro.errors.CellCrashError`.
+  :class:`~repro.errors.CellCrashError`.  A worker closes every
+  descriptor it inherited except its result pipe and restores default
+  signal handling, and on Linux it is killed with the process that
+  forked it, so no cell outlives its campaign or server.
 
 ``isolate="auto"`` picks process mode whenever a timeout or ``jobs > 1``
 asks for it.  Retryable failures (timeout, crash, transient) are retried
@@ -29,7 +32,11 @@ re-executing only the missing cells.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
+import os
+import signal
+import sys
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -107,6 +114,20 @@ class HarnessSettings:
         if self.isolate == "inline":
             return False
         return self.jobs > 1 or self.cell_timeout is not None
+
+    def backoff(self, attempt: int) -> float:
+        """Seconds slept after failed attempt ``attempt`` (1-based)."""
+        return min(self.backoff_cap, self.backoff_base * (2 ** (attempt - 1)))
+
+    def run_budget(self) -> Optional[float]:
+        """The longest :func:`run_cell` takes when the watchdog bounds
+        it: every attempt at the full ``cell_timeout`` plus the backoffs
+        between them.  None when cells run inline or unbounded."""
+        if self.cell_timeout is None or not self.uses_processes:
+            return None
+        attempts = 1 + self.retries
+        return attempts * self.cell_timeout + sum(
+            self.backoff(attempt) for attempt in range(1, attempts))
 
     def all_faults(self) -> Tuple[FaultSpec, ...]:
         """Configured plus environment-specified faults."""
@@ -244,6 +265,15 @@ def _attempt_cell(
     return _simulate_cell(cell, verify=verify, warm=warm)
 
 
+def _load_kernel(cell: Cell) -> None:
+    """Import ``cell``'s simulation kernel in this process, so workers
+    forked from it inherit the kernel instead of each importing it."""
+    from repro.core.backend import parse_backend
+
+    parse_backend(getattr(cell.settings, "backend", DEFAULT_BACKEND)
+                  ).simulator_class
+
+
 def _warm_cell(cell: Cell) -> bytes:
     """The functional warmup ``cell`` would run, as snapshot bytes."""
     from repro.core.simulator import warm_snapshot
@@ -290,9 +320,73 @@ def _decode_error(encoded: Dict[str, Any]) -> ReproError:
     return cls(encoded["message"])
 
 
-def _worker_main(conn, work, args: tuple) -> None:
+#: ``PR_SET_PDEATHSIG`` from ``<linux/prctl.h>``.
+_PR_SET_PDEATHSIG = 1
+
+
+@functools.lru_cache(maxsize=None)
+def _libc_prctl():
+    """libc's ``prctl`` on Linux, else None.  Resolved in the parent
+    before it forks, so workers inherit it instead of importing
+    ctypes each."""
+    if not sys.platform.startswith("linux"):
+        return None
+    import ctypes
+
+    try:
+        prctl = ctypes.CDLL(None, use_errno=True).prctl
+    except (OSError, AttributeError):
+        return None
+    prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
+    prctl.restype = ctypes.c_int
+    return prctl
+
+
+def _reset_inherited_state(conn) -> None:
+    """Drop what a forked worker inherited but must not hold.
+
+    A fork copies every open descriptor and the signal setup of its
+    parent.  In a server those are the listening and client sockets,
+    sibling workers' pipe ends and the event loop's signal handlers,
+    whose wakeup fd is the loop's own.  A worker holding a sibling's
+    write end hides that sibling's death until it exits, one holding a
+    client socket keeps the connection open after the server closed
+    it, and a signal caught by an inherited handler is delivered to the
+    server's loop.  So close every descriptor but stdio and ``conn``,
+    and restore the default signal handling.
+    """
+    if os.name == "posix":
+        keep = conn.fileno()
+        os.closerange(3, keep)
+        os.closerange(max(3, keep + 1), os.sysconf("SC_OPEN_MAX"))
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+
+
+def _die_with_parent(parent: int) -> None:
+    """Have the kernel SIGKILL this worker when its parent dies, so a
+    ``kill -9``'d server or campaign leaves no cell running.
+
+    The signal fires when the *thread* that forked the worker exits.
+    Serve's executor threads and the dispatch threads of
+    :func:`execute_cells` outlive their cells, so in practice it fires
+    when the parent process dies.  A parent that died before the signal
+    was armed is caught by the ``getppid`` check.  A no-op off Linux.
+    """
+    prctl = _libc_prctl()
+    if prctl is None:
+        return
+    prctl(_PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0)
+    if os.getppid() != parent:
+        os._exit(1)
+
+
+def _worker_main(conn, work, args: tuple, parent: int) -> None:
     """Subprocess entry point: run ``work(*args)``, report through
-    ``conn``."""
+    ``conn``; ``parent`` is the pid of the process that forked it."""
+    _reset_inherited_state(conn)
+    _die_with_parent(parent)
     try:
         conn.send(("ok", work(*args)))
     except BaseException as error:  # classified on the parent side
@@ -316,9 +410,11 @@ def _run_isolated(
     """Run ``work(*args)`` in a worker subprocess with a watchdog;
     ``what`` names the work in timeout and crash errors."""
     ctx = _mp_context()
+    _libc_prctl()  # loaded before the fork, so the worker inherits it
     parent_conn, child_conn = ctx.Pipe(duplex=False)
     process = ctx.Process(
-        target=_worker_main, args=(child_conn, work, args), daemon=True,
+        target=_worker_main, args=(child_conn, work, args, os.getpid()),
+        daemon=True,
     )
     process.start()
     child_conn.close()
@@ -350,12 +446,11 @@ def _run_isolated(
 
 
 def _kill(process) -> None:
-    """Terminate a worker, escalating to SIGKILL if it lingers."""
-    process.terminate()
-    process.join(5)
-    if process.is_alive():
-        process.kill()
-        process.join()
+    """SIGKILL a worker and reap it.  It holds nothing that needs a
+    graceful exit, and a join timeout would bound nothing: the worker
+    closed the sentinel pipe that ``join`` waits on."""
+    process.kill()
+    process.join()
 
 
 def _put_metrics_snapshot(cache: ResultCache, key: str, result: Any) -> None:
@@ -399,6 +494,8 @@ def run_cell(
             return CellOutcome(cell=cell, result=cached, cached=True)
     faults = harness.all_faults()
     isolated = harness.uses_processes
+    if isolated:
+        _load_kernel(cell)
     attempts = 1 + harness.retries
     error: Optional[ReproError] = None
     for attempt in range(1, attempts + 1):
@@ -419,10 +516,7 @@ def run_cell(
             error = failure
             if not is_retryable(failure) or attempt == attempts:
                 break
-            backoff = min(
-                harness.backoff_cap,
-                harness.backoff_base * (2 ** (attempt - 1)),
-            )
+            backoff = harness.backoff(attempt)
             if backoff > 0:
                 time.sleep(backoff)
             continue
@@ -561,6 +655,7 @@ def _warm_then_run(
     """Warm ``group``'s shared state once, then queue its cells."""
     try:
         if harness.uses_processes:
+            _load_kernel(group[0])
             warm = _run_isolated(
                 f"warmup for {group[0].label}", _warm_cell, (group[0],),
                 harness.cell_timeout,

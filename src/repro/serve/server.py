@@ -13,13 +13,17 @@ job queue -> core scheduler -> storage)::
         -> repro.harness.run_cell (watchdog, classified retries)
            -> shared ResultCache (storage)
 
-Where a cell runs follows the harness's ``isolate`` setting.  With the
-defaults (``--isolate auto`` and no ``--cell-timeout``) cells run
-inline on the worker threads, which share one interpreter lock:
-``--workers N`` overlaps queueing, protocol and cache I/O, but at most
-one simulation runs at a time.  ``--isolate process`` (or an armed
-``--cell-timeout``) forks a subprocess per cell, which simulates in
-parallel and adds the hang watchdog.
+Where a cell runs: serve always arms the harness watchdog, at
+``--cell-timeout`` if given and otherwise at ``lease_ttl *
+max_lease_attempts``, as long as a job's leases would let one run go
+on.  An armed watchdog makes ``auto`` isolation fork a subprocess per
+cell, so ``--workers N`` simulates N cells in parallel, and a hung cell
+is killed and retried instead of holding its worker for good.  The
+watchdog then bounds each forked cell, so its lease lasts the harness's
+whole run of it; the reaper re-leases a job only when its worker thread
+wedged outside the watchdog.  ``--isolate inline`` opts out: cells then
+run on the worker threads, which share one interpreter lock, at most
+one simulation runs at a time, and the lease TTL is the only bound.
 
 Robustness properties, each tested by the chaos suite:
 
@@ -94,14 +98,17 @@ class ServeSettings:
     host: str = "127.0.0.1"
     #: 0 = pick a free port (reported by ``CampaignServer.port``).
     port: int = 0
-    #: Worker threads, each executing one leased cell at a time.  Inline
-    #: cells (the default isolation) share the interpreter lock, so
-    #: only forked cells (``isolate="process"``, or ``"auto"`` with a
-    #: cell timeout) simulate in parallel.
+    #: Worker threads, each executing one leased cell at a time.  With
+    #: ``auto`` or ``process`` isolation each cell is forked, so this
+    #: many cells simulate in parallel; ``inline`` cells share the
+    #: interpreter lock and run one at a time.
     workers: int = 2
     #: Queued jobs tolerated per priority lane before load shedding.
     lane_depth: int = 64
-    #: Lease wall-clock budget; expiry requeues the job.
+    #: Lease wall-clock budget of an inline cell; expiry requeues the
+    #: job.  Unless the harness sets its own ``cell_timeout``, a forked
+    #: cell attempt may run ``lease_ttl * max_lease_attempts``, and its
+    #: lease lasts the harness's whole run plus ``lease_ttl``.
     lease_ttl: float = 120.0
     #: Lease grants per job before it is failed outright.
     max_lease_attempts: int = 3
@@ -131,8 +138,19 @@ class CampaignServer:
     def __init__(self, settings: ServeSettings):
         self.settings = settings
         self.harness = settings.harness
+        if self.harness.cell_timeout is None:
+            # a cell may run as long as its job's leases would let it;
+            # the armed watchdog makes ``auto`` isolation fork it
+            self.harness = self.harness.replace(
+                cell_timeout=settings.lease_ttl * settings.max_lease_attempts)
+        # The watchdog bounds a forked cell, so its lease outlasts the
+        # harness's run of it by a TTL for forking and caching: the
+        # reaper then never re-leases a cell the watchdog still times.
+        run_budget = self.harness.run_budget()
         self.queue = JobQueue(lane_depth=settings.lane_depth)
-        self.leases = LeaseManager(ttl=settings.lease_ttl)
+        self.leases = LeaseManager(
+            ttl=settings.lease_ttl if run_budget is None
+            else run_budget + settings.lease_ttl)
         self.jobs: Dict[str, Job] = {}
         #: cell key -> non-terminal job (the dedup register).
         self.inflight: Dict[str, Job] = {}
@@ -489,7 +507,7 @@ class CampaignServer:
             if job.terminal:
                 continue
             job.state = LEASED
-            self.leases.grant(job, name)
+            lease = self.leases.grant(job, name)
             if self.journal is not None:
                 self.journal.append({
                     "rec": "leased", "job": job.id, "worker": name,
@@ -509,7 +527,8 @@ class CampaignServer:
                     cell=job.cell, error=ReproError(str(error)), attempts=1,
                 )
             job.harness_attempts += max(1, outcome.attempts)
-            self.leases.release(job)
+            if not lease.expired:
+                self.leases.release(job)
             elapsed = time.monotonic() - started
             self._service_ms.observe(int(elapsed * 1000))
             self._est_cell_seconds = (
@@ -517,10 +536,13 @@ class CampaignServer:
             )
             if job.terminal:
                 continue  # a post-expiry duplicate already finished it
-            if outcome.ok:
+            retryable = (outcome.error is not None
+                         and is_retryable(outcome.error))
+            if outcome.ok or not retryable:
                 self._complete(job, outcome)
-            elif (outcome.error is not None and is_retryable(outcome.error)
-                    and job.leases < self.settings.max_lease_attempts):
+            elif lease.expired:
+                continue  # the reaper has requeued it already
+            elif job.leases < self.settings.max_lease_attempts:
                 self._counters["requeued"].inc()
                 if self.journal is not None:
                     self.journal.append({

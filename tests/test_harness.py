@@ -6,9 +6,16 @@ failure report; and resume of an interrupted campaign reusing cached
 cells.  Simulation cells are tiny so the subprocess paths stay fast.
 """
 
+import multiprocessing
 import os
 import pickle
+import signal
+import socket
+import subprocess
+import sys
+import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +42,7 @@ from repro.harness import (
     parse_faults,
     run_cell,
 )
+from repro.harness.executor import _run_isolated
 
 TINY = ExperimentSettings(instructions=250, warmup=2_000, detailed_warmup=80)
 BASE = CoreConfig.base()
@@ -320,6 +328,13 @@ class TestFaultSpecs:
 
 
 class TestRetry:
+    def test_run_budget_spans_every_attempt_and_backoff(self):
+        harness = HarnessSettings(cell_timeout=10.0, retries=2,
+                                  backoff_base=0.25, backoff_cap=4.0)
+        assert harness.run_budget() == 3 * 10.0 + 0.25 + 0.5
+        assert harness.replace(isolate="inline").run_budget() is None
+        assert harness.replace(cell_timeout=None).run_budget() is None
+
     def test_transient_fault_retries_to_success(self):
         harness = HarnessSettings(
             backoff_base=0.0, isolate="inline",
@@ -408,6 +423,130 @@ class TestProcessIsolation:
         decoded = _decode_error(encoded)
         assert isinstance(decoded, SimulationHangError)
         assert decoded.snapshot.stage_occupancy == {"rob": 3}
+
+
+def _crash_now() -> None:
+    os._exit(86)
+
+
+def _inherited_state(fd: int) -> tuple:
+    """Whether ``fd`` is open here, the SIGTERM handler and the signal
+    wakeup fd."""
+    try:
+        os.fstat(fd)
+        is_open = True
+    except OSError:
+        is_open = False
+    return is_open, signal.getsignal(signal.SIGTERM), signal.set_wakeup_fd(-1)
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live (not exited, not zombie) process."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+class TestWorkerSpawning:
+    def test_worker_drops_inherited_fds_and_signal_handlers(self):
+        # What an event loop installs: a SIGTERM handler and a wakeup
+        # fd.  A forked worker must neither hold the parent's sockets
+        # nor pass a caught signal to the parent's wakeup fd.
+        read_end, write_end = os.pipe()
+        os.set_blocking(write_end, False)
+        listener = socket.socket()
+        handler = signal.signal(signal.SIGTERM, lambda *_: None)
+        wakeup = signal.set_wakeup_fd(write_end)
+        try:
+            state = _run_isolated("probe", _inherited_state,
+                                  (listener.fileno(),), 30)
+        finally:
+            signal.set_wakeup_fd(wakeup)
+            signal.signal(signal.SIGTERM, handler)
+            listener.close()
+            os.close(read_end)
+            os.close(write_end)
+        assert state == (False, signal.SIG_DFL, -1)
+
+    def test_crash_is_not_hidden_by_a_sibling_spawn(self, monkeypatch):
+        # Hold a worker's start() open until a sibling worker has been
+        # forked by another thread, so the sibling inherits the first
+        # worker's write end.  Unless the sibling drops it at once, the
+        # crash would surface only when the 3 s sibling exits.
+        first_started = threading.Event()
+        sibling_started = threading.Event()
+        start = multiprocessing.process.BaseProcess.start
+
+        def widened_start(process):
+            start(process)
+            if threading.current_thread().name == "crasher":
+                first_started.set()
+                sibling_started.wait(0.5)
+            else:
+                sibling_started.set()
+
+        monkeypatch.setattr(
+            multiprocessing.process.BaseProcess, "start", widened_start)
+        seen = {}
+
+        def crasher():
+            began = time.monotonic()
+            try:
+                _run_isolated("crasher", _crash_now, (), None)
+            except CellCrashError as error:
+                seen["error"] = error
+            seen["elapsed"] = time.monotonic() - began
+
+        def sibling():
+            first_started.wait(5)
+            _run_isolated("sibling", time.sleep, (3.0,), None)
+
+        threads = [threading.Thread(target=crasher, name="crasher"),
+                   threading.Thread(target=sibling, name="sibling")]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(15)
+            assert not thread.is_alive()
+        assert isinstance(seen.get("error"), CellCrashError)
+        assert "exit code 86" in str(seen["error"])
+        assert seen["elapsed"] < 2.0
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="parent-death signal is Linux-only")
+    def test_worker_dies_with_its_parent(self, tmp_path):
+        # A kill -9'd parent (a campaign or a server) must not leave its
+        # forked cell running.
+        pid_path = tmp_path / "worker.pid"
+        src = Path(__file__).resolve().parent.parent / "src"
+        script = (
+            "import os, sys, time\n"
+            "from repro.harness.executor import _run_isolated\n"
+            "def nap(path):\n"
+            "    open(path, 'w').write(str(os.getpid()))\n"
+            "    time.sleep(60)\n"
+            "_run_isolated('nap', nap, (sys.argv[1],), None)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(src))
+        parent = subprocess.Popen(
+            [sys.executable, "-c", script, str(pid_path)], env=env)
+        try:
+            deadline = time.monotonic() + 30
+            while not pid_path.exists() or not pid_path.read_text():
+                assert time.monotonic() < deadline, "worker never started"
+                assert parent.poll() is None, "parent died at start-up"
+                time.sleep(0.05)
+            worker = int(pid_path.read_text())
+            assert _running(worker)
+        finally:
+            parent.kill()
+            parent.wait(10)
+        deadline = time.monotonic() + 5
+        while _running(worker) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _running(worker), "forked worker outlived its parent"
 
 
 class TestCampaignRecovery:

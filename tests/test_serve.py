@@ -6,13 +6,16 @@ socket driven by the synchronous :class:`CampaignClient`, including the
 chaos scenarios the subsystem exists for — dedup coalescing, 429 load
 shedding, worker crashes re-leased mid-campaign, injected disconnects
 survived by client retry, and ``kill -9`` (abort) followed by a
-journal-replay resume that loses no accepted job.
+journal-replay resume that loses no accepted job.  Most servers here
+run cells inline (``serve_settings``); ``TestForkedCells`` covers
+serve's default, where every cell is forked under the watchdog.
 
 Simulation cells are tiny so the suite stays fast.
 """
 
 import asyncio
 import json
+import multiprocessing
 import socket
 import threading
 import time
@@ -584,6 +587,178 @@ class TestServerEndToEnd:
             st.server._draining = False
         assert reply["type"] == "rejected"
         assert reply["code"] == 503
+
+
+def forked_settings(tmp_path, faults=(), retries=0,
+                    **overrides) -> ServeSettings:
+    """``serve_settings`` on serve's default isolation."""
+    harness = HarnessSettings(
+        retries=retries, backoff_base=0.0,
+        cache_dir=str(tmp_path / "cache"), faults=tuple(faults),
+    )
+    return serve_settings(tmp_path, harness=harness, **overrides)
+
+
+class TestForkedCells:
+    """Serve arms the harness watchdog at ``lease_ttl *
+    max_lease_attempts``, so ``auto`` isolation forks every cell."""
+
+    def test_hung_cell_is_killed_and_released(self, tmp_path):
+        # Without the watchdog a forked hang is waited on forever: both
+        # workers wedge on the re-leased job and nothing is answered.
+        # The 0.5 s lease TTL gives a 1.5 s watchdog budget.
+        settings = forked_settings(
+            tmp_path, faults=[FaultSpec("hang", seed="0", attempts=1)],
+            lease_ttl=0.5)
+        with ServerThread(settings) as st:
+            try:
+                with CampaignClient(port=st.port, timeout=10,
+                                    retries=0) as client:
+                    hung = client.submit("m88ksim", seed=0, **TINY)
+                    began = time.monotonic()
+                    after = client.submit("m88ksim", seed=1, **TINY)
+                    after_s = time.monotonic() - began
+            finally:
+                # a wedged fork would otherwise block the drain for good
+                for child in multiprocessing.active_children():
+                    child.kill()
+            reasons = [record.get("reason") for record in read_records(
+                st.settings.journal_path) if record["rec"] == "requeued"]
+            assert st.counter("lease_expired") == 0
+        assert hung.ok and after.ok
+        assert reasons == ["CellTimeoutError"]  # killed by the watchdog
+        assert after_s < 5.0
+
+    def test_hung_cell_is_retried_within_its_lease(self, tmp_path):
+        # Default harness retries: the watchdog kills the hung attempt
+        # after 1.5 s and the retry succeeds on the same lease.  The
+        # lease outlasts the whole harness run, so the reaper neither
+        # re-leases the job nor runs it a second time in parallel, and
+        # the other worker serves a second client meanwhile.
+        settings = forked_settings(
+            tmp_path, faults=[FaultSpec("hang", seed="0", attempts=1)],
+            retries=2, lease_ttl=0.5)
+        seen = {}
+
+        def second_client():
+            time.sleep(0.2)  # the hung cell is leased by then
+            began = time.monotonic()
+            with CampaignClient(port=st.port, timeout=10) as client:
+                seen["reply"] = client.submit("m88ksim", seed=1, **TINY)
+            seen["took"] = time.monotonic() - began
+
+        with ServerThread(settings) as st:
+            other = threading.Thread(target=second_client)
+            other.start()
+            with CampaignClient(port=st.port, timeout=15,
+                                retries=0) as client:
+                hung = client.submit("m88ksim", seed=0, **TINY)
+            other.join(15)
+            assert not other.is_alive()
+            counters = {name: st.counter(name) for name in
+                        ("executed", "lease_expired", "requeued")}
+        assert hung.ok and hung.attempts == 2
+        assert seen["reply"].ok and seen["took"] < 1.0
+        assert counters == {"executed": 2, "lease_expired": 0,
+                            "requeued": 0}
+
+    def test_cell_outliving_the_lease_ttl_completes(self, tmp_path):
+        # Every attempt takes over 1 s, past the 0.6 s lease TTL: the
+        # server would still accept its result, so the watchdog (1.8 s)
+        # lets it finish.
+        settings = forked_settings(
+            tmp_path, faults=[FaultSpec("slow", attempts=99, delay_s=1.0)],
+            lease_ttl=0.6)
+        with ServerThread(settings) as st:
+            with CampaignClient(port=st.port, timeout=15,
+                                retries=0) as client:
+                reply = client.submit("m88ksim", **TINY)
+            counters = {name: st.counter(name) for name in
+                        ("executed", "lease_expired", "requeued")}
+        assert reply.ok and reply.attempts == 1
+        assert counters == {"executed": 1, "lease_expired": 0,
+                            "requeued": 0}
+
+    def test_cells_fork_by_default(self, tmp_path):
+        settings = forked_settings(
+            tmp_path, faults=[FaultSpec("crash", attempts=1)],
+            max_lease_attempts=1)
+        with ServerThread(settings) as st:
+            with CampaignClient(port=st.port) as client:
+                reply = client.submit("m88ksim", **TINY)
+        assert not reply.ok
+        assert reply.error_kind == "CellCrashError"
+        assert "worker died (exit code 86)" in reply.error_message
+
+    def test_dropped_delivery_is_not_held_open_by_a_forked_cell(
+            self, tmp_path):
+        # The second client's 3.5 s cell is forked while the first
+        # client's connection is open, so that cell's worker holds a
+        # copy of the socket.  The first client's delivery is dropped;
+        # it must see EOF and retry at once, not when that cell exits.
+        settings = forked_settings(tmp_path, faults=[
+            FaultSpec("disconnect", seed="1", attempts=1),
+            FaultSpec("slow", seed="1", attempts=1, delay_s=0.5),
+            FaultSpec("slow", seed="2", attempts=1, delay_s=3.5),
+        ])
+        seen = {}
+
+        def dropped():
+            began = time.monotonic()
+            with CampaignClient(port=st.port, retry_delay=0.05) as client:
+                seen["reply"] = client.submit("m88ksim", seed=1, **TINY)
+            seen["took"] = time.monotonic() - began
+
+        def slow():
+            with CampaignClient(port=st.port) as client:
+                client.submit("m88ksim", seed=2, **TINY)
+
+        with ServerThread(settings) as st:
+            threads = [threading.Thread(target=dropped),
+                       threading.Thread(target=slow)]
+            threads[0].start()
+            time.sleep(0.2)  # the first cell is leased and sleeping
+            threads[1].start()
+            for thread in threads:
+                thread.join(30)
+                assert not thread.is_alive()
+        assert seen["reply"].ok and seen["reply"].reconnects == 1
+        assert seen["took"] < 2.0
+
+    def test_inline_opt_out_runs_cells_in_process(self, tmp_path):
+        harness = HarnessSettings(
+            isolate="inline", retries=0, cache_dir=str(tmp_path / "cache"),
+            faults=(FaultSpec("crash", attempts=1),),
+        )
+        settings = serve_settings(tmp_path, harness=harness,
+                                  max_lease_attempts=1)
+        with ServerThread(settings) as st:
+            with CampaignClient(port=st.port) as client:
+                reply = client.submit("m88ksim", **TINY)
+        assert not reply.ok
+        assert reply.error_kind == "CellCrashError"
+        assert "injected crash fault" in reply.error_message
+
+    def test_explicit_cell_timeout_wins_over_lease_ttl(self, tmp_path):
+        # The hang is killed at the harness's 0.5 s budget, not the
+        # 60 s lease, and the harness retry succeeds on the same lease.
+        harness = HarnessSettings(
+            cell_timeout=0.5, retries=1, backoff_base=0.0,
+            cache_dir=str(tmp_path / "cache"),
+            faults=(FaultSpec("hang", attempts=1),),
+        )
+        settings = serve_settings(tmp_path, harness=harness, lease_ttl=60.0)
+        assert CampaignServer(settings).harness.cell_timeout == 0.5
+        assert CampaignServer(
+            forked_settings(tmp_path, lease_ttl=60.0)
+        ).harness.cell_timeout == 180.0
+        with ServerThread(settings) as st:
+            with CampaignClient(port=st.port, timeout=15,
+                                retries=0) as client:
+                reply = client.submit("m88ksim", **TINY)
+            assert st.counter("requeued") == 0
+        assert reply.ok
+        assert reply.attempts == 2
 
 
 class TestAbortAndResume:
