@@ -7,12 +7,12 @@ walks the service through its five headline robustness claims:
 
 1. **dedup** — two concurrent clients submitting the same cell get the
    same result from exactly one simulation.
-2. **crash re-lease** — with an injected worker crash (``REPRO_FAULTS``)
-   and no harness retries, the service re-leases the job and the client
-   still gets its result; once with forked cells, once ``--isolate
-   inline``.
+2. **crash retry** — an injected worker crash (``REPRO_FAULTS``) is
+   retried by the harness on the default ``--retries``: the job runs
+   once, takes two attempts, and the client gets its result; once with
+   forked cells, once ``--isolate inline``.
 3. **watchdog kill** — a hung cell is killed by the watchdog and retried
-   on the same lease; the client gets its result, and the server stays
+   in the same run; the client gets its result, and the server stays
    up instead of taking the kill for a signal of its own.
 4. **kill -9 + resume** — SIGKILL a server while a forked cell is in
    flight and more jobs are accepted but unfinished: no cell of the
@@ -180,7 +180,7 @@ def scenario_dedup(root: Path) -> None:
         first = threading.Thread(target=submit)
         second = threading.Thread(target=submit)
         first.start()
-        time.sleep(0.4)  # first submit is leased and sleeping
+        time.sleep(0.4)  # first submit is running and sleeping
         second.start()
         first.join(60)
         second.join(60)
@@ -196,24 +196,21 @@ def scenario_dedup(root: Path) -> None:
         server.stop()
 
 
-def scenario_crash_release(root: Path, isolate: str = "") -> None:
-    """Worker crash with no harness retries -> service re-leases."""
+def scenario_crash_retry(root: Path, isolate: str = "") -> None:
+    """Worker crash -> retried by the harness within the job's one run."""
     workdir = root / f"crash-{isolate or 'default'}"
     workdir.mkdir()
     server = Server(workdir, "serve", faults="crash|*|*|*|1",
-                    extra_args=("--retries", "0"), isolate=isolate)
+                    isolate=isolate)
     try:
         with server.client() as client:
             reply = client.submit(WORKLOAD, want_result=False, **TINY)
         check(reply.ok, f"crash-faulted submit failed: {reply.error_message}")
-        requeued = server.metric("requeued")
+        check(reply.attempts == 2, f"expected 2 attempts, saw {reply.attempts}")
         executed = server.metric("executed")
-        check(requeued >= 1, f"no re-lease recorded (requeued={requeued})")
-        check(executed >= 2, f"expected >=2 executions, saw {executed}")
-        records = [r["rec"] for r in read_records(server.journal)]
-        check("requeued" in records, "journal missing the requeue record")
-        print(f"  crash ({isolate or 'forked'}): lease re-queued "
-              f"(executions={executed:.0f}), result delivered "
+        check(executed == 1, f"expected 1 execution, saw {executed}")
+        print(f"  crash ({isolate or 'forked'}): retried by the harness "
+              f"(attempts={reply.attempts}), result delivered "
               f"ipc={reply.ipc:.4f}")
     finally:
         server.stop()
@@ -223,9 +220,8 @@ def scenario_hang_kill(root: Path) -> None:
     """Hung cell -> killed by the watchdog, retried, server stays up."""
     workdir = root / "hang"
     workdir.mkdir()
-    # a 0.5 s lease TTL gives the watchdog a 1.5 s budget
     server = Server(workdir, "serve", faults="hang|*|*|*|1",
-                    extra_args=("--lease-ttl", "0.5"))
+                    extra_args=("--cell-timeout", "1.5"))
     try:
         began = time.time()
         with server.client(timeout=30, retries=0) as client:
@@ -237,11 +233,9 @@ def scenario_hang_kill(root: Path) -> None:
               "the watchdog's kill took the server down")
         executed = server.metric("executed")
         check(executed == 1, f"expected 1 execution, saw {executed}")
-        records = [r["rec"] for r in read_records(server.journal)]
-        check("requeued" not in records, "the hung job was re-leased")
         check(last_drain(server.journal) is None,
               "the watchdog's kill drained the server")
-        print(f"  hang: killed and retried on its lease, delivered in "
+        print(f"  hang: killed and retried in its run, delivered in "
               f"{took:.1f}s, server still up")
     finally:
         server.stop()
@@ -264,9 +258,9 @@ def scenario_kill9_resume(root: Path) -> tuple:
                 reply = client.submit_spec(spec, wait=False)
                 check(reply.ok, "submit not accepted")
         # kill only once a cell is in flight in its forked worker
-        wait_for(lambda: any(record["rec"] == "leased"
+        wait_for(lambda: any(record["rec"] == "running"
                              for record in read_records(server.journal)),
-                 "a leased journal record")
+                 "a running journal record")
         wait_for(lambda: children(server.process.pid), "a forked cell")
         workers = children(server.process.pid)
         server.sigkill()
@@ -326,9 +320,9 @@ def main() -> int:
         root = Path(tmp)
         print("serve chaos: dedup under concurrency")
         scenario_dedup(root)
-        print("serve chaos: worker crash -> lease re-queue")
-        scenario_crash_release(root)
-        scenario_crash_release(root, isolate="inline")
+        print("serve chaos: worker crash -> harness retry")
+        scenario_crash_retry(root)
+        scenario_crash_retry(root, isolate="inline")
         print("serve chaos: hung cell -> watchdog kill")
         scenario_hang_kill(root)
         print("serve chaos: kill -9 -> journal resume")

@@ -468,8 +468,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         workers=args.workers,
         lane_depth=args.lane_depth,
-        lease_ttl=args.lease_ttl,
-        max_lease_attempts=args.lease_attempts,
         journal_path=args.journal or None,
         journal_fsync=args.fsync,
         resume=args.resume,
@@ -491,7 +489,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             reply = client.health()
             print(f"ok={reply.get('ok')} draining={reply.get('draining')} "
                   f"uptime={reply.get('uptime')}s jobs={reply.get('jobs')} "
-                  f"leases={reply.get('leases')}")
+                  f"running={reply.get('running')}")
             return 0 if reply.get("ok") else 1
         if args.stats:
             reply = client.stats()
@@ -508,7 +506,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             reply = client.status()
             print(f"draining={reply.get('draining')} "
                   f"queues={reply.get('queues')} jobs={reply.get('jobs')} "
-                  f"leases={reply.get('leases')}")
+                  f"running={reply.get('jobs', {}).get('running')}")
             return 0
         if args.drain:
             client.drain()
@@ -939,8 +937,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser = sub.add_parser(
         "serve",
         help="run the campaign service: async TCP front end with "
-             "request dedup, priority lanes, leases, a crash-safe "
-             "journal and graceful drain",
+             "request dedup, priority lanes, a crash-safe journal "
+             "and graceful drain",
     )
     serve_parser.add_argument("--host", default="127.0.0.1")
     serve_parser.add_argument(
@@ -959,17 +957,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(default 64)",
     )
     serve_parser.add_argument(
-        "--lease-ttl", type=float, default=120.0, metavar="SECONDS",
-        help="per-job lease budget; expiry requeues the job.  A forked "
-             "cell may run lease-ttl x lease-attempts before the hang "
-             "watchdog kills it, unless --cell-timeout is given, and its "
-             "lease covers all of its retries (default 120)",
-    )
-    serve_parser.add_argument(
-        "--lease-attempts", type=int, default=3,
-        help="lease grants per job before it fails outright (default 3)",
-    )
-    serve_parser.add_argument(
         "--journal", default="", metavar="PATH",
         help="crash-safe job journal (JSONL); required for --resume",
     )
@@ -983,12 +970,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--cell-timeout", type=float, default=None, metavar="SECONDS",
-        help="harness watchdog budget per cell attempt (default: "
-             "lease-ttl x lease-attempts)",
+        help="harness watchdog budget per cell attempt (default 360)",
     )
     serve_parser.add_argument(
         "--retries", type=int, default=2,
-        help="harness retries per lease for retryable failures "
+        help="harness retries per job for retryable failures "
              "(default 2)",
     )
     serve_parser.add_argument(
@@ -1057,7 +1043,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit_parser.add_argument("--stats", action="store_true",
                                help="print the service metrics snapshot")
     submit_parser.add_argument("--status", action="store_true",
-                               help="print queue/job/lease occupancy")
+                               help="print queue depths and job states")
     submit_parser.add_argument("--drain", action="store_true",
                                help="ask the service to drain gracefully")
     submit_parser.set_defaults(func=_cmd_submit)

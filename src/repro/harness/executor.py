@@ -115,20 +115,6 @@ class HarnessSettings:
             return False
         return self.jobs > 1 or self.cell_timeout is not None
 
-    def backoff(self, attempt: int) -> float:
-        """Seconds slept after failed attempt ``attempt`` (1-based)."""
-        return min(self.backoff_cap, self.backoff_base * (2 ** (attempt - 1)))
-
-    def run_budget(self) -> Optional[float]:
-        """The longest :func:`run_cell` takes when the watchdog bounds
-        it: every attempt at the full ``cell_timeout`` plus the backoffs
-        between them.  None when cells run inline or unbounded."""
-        if self.cell_timeout is None or not self.uses_processes:
-            return None
-        attempts = 1 + self.retries
-        return attempts * self.cell_timeout + sum(
-            self.backoff(attempt) for attempt in range(1, attempts))
-
     def all_faults(self) -> Tuple[FaultSpec, ...]:
         """Configured plus environment-specified faults."""
         return self.faults + env_faults()
@@ -467,18 +453,9 @@ def run_cell(
     cell: Cell,
     harness: Optional[HarnessSettings] = None,
     cache: Optional[ResultCache] = None,
-    attempt_offset: int = 0,
     warm: Optional[bytes] = None,
 ) -> CellOutcome:
     """Execute one cell with caching, isolation, watchdog and retries.
-
-    ``attempt_offset`` shifts the attempt numbers shown to the fault
-    machinery: a service layer that re-leases a failed job passes the
-    attempts already consumed, so an injected fault bounded by
-    ``attempts=N`` fires N times *globally* rather than N times per
-    lease (otherwise a lease-requeue loop against a first-attempt fault
-    would never terminate).  The outcome's ``attempts`` stays local to
-    this call.
 
     ``warm`` is a functional-warmup snapshot with this cell's warm key
     (:func:`execute_cells` shares one across a batch); every attempt
@@ -501,7 +478,7 @@ def run_cell(
     for attempt in range(1, attempts + 1):
         fault = active_fault(
             faults, cell.workload, cell.config.label, cell.seed,
-            attempt_offset + attempt, kinds=WORKER_KINDS,
+            attempt, kinds=WORKER_KINDS,
         )
         try:
             if isolated:
@@ -516,7 +493,10 @@ def run_cell(
             error = failure
             if not is_retryable(failure) or attempt == attempts:
                 break
-            backoff = harness.backoff(attempt)
+            backoff = min(
+                harness.backoff_cap,
+                harness.backoff_base * (2 ** (attempt - 1)),
+            )
             if backoff > 0:
                 time.sleep(backoff)
             continue
@@ -667,5 +647,5 @@ def _warm_then_run(
         # and reports any failure per cell, exactly as without sharing
         warm = None
     return [
-        pool.submit(run_cell, cell, harness, cache, 0, warm) for cell in group
+        pool.submit(run_cell, cell, harness, cache, warm) for cell in group
     ]

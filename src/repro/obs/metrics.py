@@ -59,7 +59,7 @@ class Counter:
 
 
 class Gauge:
-    """A settable point-in-time metric (queue depth, active leases).
+    """A settable point-in-time metric (queue depth, jobs in flight).
 
     Unlike :class:`Counter` it may go down; unlike :class:`TimeSeries`
     it keeps no history — a snapshot is just the current value.  The

@@ -3,10 +3,10 @@
 Simulation-as-a-service on top of :mod:`repro.harness`: an asyncio
 TCP/JSON-lines server (``loopsim serve``) with request deduplication
 against the content-addressed result cache, bounded priority lanes with
-explicit load shedding, per-job leases for at-least-once execution, a
-crash-safe journal with ``--resume`` replay, graceful drain on SIGTERM,
-and health/stats endpoints wired to :mod:`repro.obs` metrics — plus the
-thin synchronous client behind ``loopsim submit``.
+explicit load shedding, one run per job through the harness's watchdog
+and retries, a crash-safe journal with ``--resume`` replay, graceful
+drain on SIGTERM, and health/stats endpoints wired to :mod:`repro.obs`
+metrics — plus the thin synchronous client behind ``loopsim submit``.
 
 The robustness story is chaos-tested end to end by extending the
 ``REPRO_FAULTS`` machinery (:mod:`repro.harness.faults`) with
@@ -22,7 +22,6 @@ from repro.serve.client import (
     ServiceUnavailableError,
 )
 from repro.serve.journal import Journal, compact, pending_jobs, read_records
-from repro.serve.leases import Lease, LeaseManager
 from repro.serve.protocol import (
     LANES,
     PROTOCOL_VERSION,
@@ -41,8 +40,6 @@ __all__ = [
     "read_records",
     "pending_jobs",
     "compact",
-    "Lease",
-    "LeaseManager",
     "Job",
     "JobQueue",
     "QueueFullError",

@@ -4,8 +4,7 @@ The server appends one record per job-lifecycle transition::
 
     {"rec": "accepted", "job": "j-3", "key": "...", "priority": "batch",
      "cell": {...spec...}, "t": 12.5}
-    {"rec": "leased",   "job": "j-3", "worker": "w0", "t": 12.6}
-    {"rec": "requeued", "job": "j-3", "reason": "lease-expired", ...}
+    {"rec": "running",  "job": "j-3", "worker": "w0", "t": 12.6}
     {"rec": "done",     "job": "j-3", "ok": true, "cached": false, ...}
     {"rec": "drain",    "t": 99.0}
 
@@ -17,11 +16,12 @@ mid-write) parses as garbage and is skipped — by construction it can
 only be the very last record, and an ``accepted`` record that never
 fully hit the disk was never acknowledged to a client either.
 
-Replay is deliberately dumb: it never trusts ``leased`` records as
-progress (the lease died with the process) — only ``done`` retires a
-job.  :func:`compact` rewrites the journal to just the pending
-``accepted`` records so a long-lived service's journal stays bounded by
-its backlog, not its history.
+Replay is deliberately dumb: it reads only ``accepted`` and ``done``
+records, so a ``running`` record (or the ``leased`` record of older
+journals) is never taken as progress — the run died with the process.
+:func:`compact` rewrites the journal to just the pending ``accepted``
+records so a long-lived service's journal stays bounded by its backlog,
+not its history.
 """
 
 from __future__ import annotations
@@ -94,9 +94,9 @@ def pending_jobs(path: Union[str, Path]) -> List[Dict[str, Any]]:
 
     This is the at-least-once replay set: a job that was accepted (and
     acknowledged to a client) but not completed before the crash.  Jobs
-    that were mid-lease count as pending — their lease died with the
-    server and the content-addressed cache makes re-execution free if
-    the result actually landed before the crash.
+    that were running count as pending — their run died with the server
+    and the content-addressed cache makes re-execution free if the
+    result actually landed before the crash.
     """
     accepted: Dict[str, Dict[str, Any]] = {}
     order: List[str] = []

@@ -5,7 +5,7 @@ vocabulary is small and explicit:
 
 Client -> server
     ``submit``      run (or coalesce onto) one simulation cell
-    ``status``      queue depths, job states, lease occupancy
+    ``status``      queue depths and job states
     ``stats``       the server's :mod:`repro.obs` metrics snapshot
     ``health``      liveness/readiness probe
     ``drain``       ask the server to drain gracefully
@@ -29,7 +29,7 @@ The server rebuilds the :class:`~repro.harness.Cell` from the spec, so
 the cell's content address (:func:`~repro.harness.cache.cell_key`) is
 computed exactly once, server-side, from the same frozen dataclasses a
 direct :func:`~repro.core.simulator.simulate` call would use — which is
-what makes at-least-once execution idempotent and deduplication exact.
+what makes a replayed execution idempotent and deduplication exact.
 
 Results travel as a JSON summary (ipc + the ``CoreStats`` summary dict)
 plus, when the client asks for ``pickle``, a base64-pickled
@@ -139,6 +139,15 @@ def build_cell(spec: Dict[str, Any]) -> Cell:
     simulator would reject — the server turns that into an ``error``
     reply instead of accepting a poison job.
     """
+    try:
+        return _build_cell(spec)
+    except TypeError as error:
+        # a field of the wrong JSON type: int() or dict() of a list, an
+        # object or null
+        raise ConfigError(f"malformed cell spec: {error}") from error
+
+
+def _build_cell(spec: Dict[str, Any]) -> Cell:
     from repro.core import CoreConfig, LoadRecovery
 
     if not isinstance(spec, dict):

@@ -3,17 +3,15 @@
 A :class:`Job` is one accepted simulation cell travelling through the
 service::
 
-    queued -> leased -> done | failed
-       ^         |
-       +---------+   (retryable failure / expired lease: requeued)
+    queued -> running -> done | failed
 
-The :class:`JobQueue` holds two bounded lanes — ``interactive`` ahead of
-``batch`` — and *rejects* (:class:`QueueFullError`, carrying a
-``retry_after`` hint) rather than buffering without bound: memory growth
-under overload becomes the client's backoff problem, not the server's
-OOM.  Requeues bypass the bound (the job was already accepted; dropping
-it would break the at-least-once promise) and go to the front of their
-lane so retried work is not starved by fresh arrivals.
+A job runs once; the harness (:func:`~repro.harness.run_cell`) owns its
+watchdog and retries.  The :class:`JobQueue` holds two bounded lanes —
+``interactive`` ahead of ``batch`` — and *rejects*
+(:class:`QueueFullError`, carrying a ``retry_after`` hint) rather than
+buffering without bound: memory growth under overload becomes the
+client's backoff problem, not the server's OOM.  Journal-replayed jobs
+bypass the bound: they were accepted by a previous server.
 
 The queue is asyncio-native: ``take()`` parks workers on a condition
 variable; ``close()`` wakes them with ``None`` so drain can join them.
@@ -31,7 +29,7 @@ from repro.harness import Cell
 from repro.serve.protocol import LANES
 
 #: Job lifecycle states.
-QUEUED, LEASED, DONE, FAILED = "queued", "leased", "done", "failed"
+QUEUED, RUNNING, DONE, FAILED = "queued", "running", "done", "failed"
 
 
 class QueueFullError(ReproError):
@@ -51,11 +49,6 @@ class Job:
     spec: Dict[str, Any]          # wire spec, journaled for replay
     priority: str = "batch"
     state: str = QUEUED
-    #: Lease grants consumed (1-based once leased).
-    leases: int = 0
-    #: Harness attempts consumed across all leases — the fault
-    #: machinery's global attempt offset (see ``run_cell``).
-    harness_attempts: int = 0
     #: Terminal outcome (a ``CellOutcome``) once done/failed.
     outcome: Optional[Any] = None
     #: Futures resolved with the outcome at completion; one per waiting
@@ -82,7 +75,7 @@ class Job:
 
     def resolve(self, outcome: Any, state: str) -> None:
         """Move to a terminal state and wake every waiter (idempotent:
-        a late second completion of a requeued job is ignored)."""
+        a second completion is ignored)."""
         if self.terminal:
             return
         self.state = state
@@ -137,14 +130,6 @@ class JobQueue:
                 )
             job.state = QUEUED
             self._lanes[lane].append(job)
-            self._condition.notify()
-
-    async def requeue(self, job: Job) -> None:
-        """Put an already-accepted job back at the front of its lane
-        (never shed: acceptance was acknowledged)."""
-        async with self._condition:
-            job.state = QUEUED
-            self._lanes[job.priority].appendleft(job)
             self._condition.notify()
 
     async def restore(self, job: Job) -> None:

@@ -9,35 +9,31 @@ job queue -> core scheduler -> storage)::
            submits coalesce onto one in-flight job)
         -> bounded priority lanes (interactive > batch) with 429-style
            load shedding
-        -> worker threads, each execution under a lease
+        -> worker threads, one job each
         -> repro.harness.run_cell (watchdog, classified retries)
            -> shared ResultCache (storage)
 
 Where a cell runs: serve always arms the harness watchdog, at
-``--cell-timeout`` if given and otherwise at ``lease_ttl *
-max_lease_attempts``, as long as a job's leases would let one run go
-on.  An armed watchdog makes ``auto`` isolation fork a subprocess per
-cell, so ``--workers N`` simulates N cells in parallel, and a hung cell
-is killed and retried instead of holding its worker for good.  The
-watchdog then bounds each forked cell, so its lease lasts the harness's
-whole run of it; the reaper re-leases a job only when its worker thread
-wedged outside the watchdog.  ``--isolate inline`` opts out: cells then
-run on the worker threads, which share one interpreter lock, at most
-one simulation runs at a time, and the lease TTL is the only bound.
+``--cell-timeout`` if given and otherwise at :data:`CELL_TIMEOUT_S`.  An
+armed watchdog makes ``auto`` isolation fork a subprocess per cell, so
+``--workers N`` simulates N cells in parallel, and a hung cell is killed
+and retried instead of holding its worker for good.  ``--isolate
+inline`` opts out: cells then run on the worker threads, which share
+one interpreter lock, at most one simulation runs at a time, and
+nothing bounds a hung cell.
 
 Robustness properties, each tested by the chaos suite:
 
-* **At-least-once, idempotent.**  Leases expire and jobs requeue; a
-  duplicate execution writes the same content-addressed bytes and the
-  first terminal outcome wins.
+* **Run once, idempotent.**  A worker runs each job once through
+  ``run_cell``, whose watchdog and retries are the only timer and retry
+  loop; a replayed job rewrites the same content-addressed bytes.
 * **Crash-safe.**  Every accepted job is journaled before it is
   acknowledged; ``--resume`` replays accepted-but-not-done jobs after a
   ``kill -9``.
 * **Bounded.**  Full lanes shed load with a ``retry_after`` hint
   instead of growing without bound.
 * **Inherited cell fault tolerance.**  Worker crashes, hangs and
-  transient faults are classified and retried by the harness; what
-  escapes the harness (an expired lease) the service layer requeues.
+  transient faults are classified and retried by the harness.
 * **Gracefully drainable.**  SIGTERM (or a ``drain`` message) stops
   intake, finishes accepted work, journals a clean-shutdown marker and
   exits.
@@ -46,19 +42,12 @@ Robustness properties, each tested by the chaos suite:
 from __future__ import annotations
 
 import asyncio
-import functools
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
-from repro.errors import (
-    CellTimeoutError,
-    ConfigError,
-    ReproError,
-    WorkloadError,
-    is_retryable,
-)
+from repro.errors import ConfigError, ReproError
 from repro.harness import (
     SERVICE_KINDS,
     CellOutcome,
@@ -70,7 +59,6 @@ from repro.harness import (
 from repro.obs import MetricsRegistry
 from repro.serve import journal as journal_mod
 from repro.serve.journal import Journal
-from repro.serve.leases import LeaseManager
 from repro.serve.protocol import (
     LANES,
     MAX_LINE_BYTES,
@@ -83,35 +71,31 @@ from repro.serve.protocol import (
 from repro.serve.queue import (
     DONE,
     FAILED,
-    LEASED,
     QUEUED,
+    RUNNING,
     Job,
     JobQueue,
     QueueFullError,
 )
 
+#: Watchdog budget of one cell attempt when no ``cell_timeout`` is set.
+CELL_TIMEOUT_S = 360.0
+
 
 @dataclass
 class ServeSettings:
-    """How the campaign server listens, queues, leases and journals."""
+    """How the campaign server listens, queues, runs and journals."""
 
     host: str = "127.0.0.1"
     #: 0 = pick a free port (reported by ``CampaignServer.port``).
     port: int = 0
-    #: Worker threads, each executing one leased cell at a time.  With
+    #: Worker threads, each executing one cell at a time.  With
     #: ``auto`` or ``process`` isolation each cell is forked, so this
     #: many cells simulate in parallel; ``inline`` cells share the
     #: interpreter lock and run one at a time.
     workers: int = 2
     #: Queued jobs tolerated per priority lane before load shedding.
     lane_depth: int = 64
-    #: Lease wall-clock budget of an inline cell; expiry requeues the
-    #: job.  Unless the harness sets its own ``cell_timeout``, a forked
-    #: cell attempt may run ``lease_ttl * max_lease_attempts``, and its
-    #: lease lasts the harness's whole run plus ``lease_ttl``.
-    lease_ttl: float = 120.0
-    #: Lease grants per job before it is failed outright.
-    max_lease_attempts: int = 3
     #: Crash-safe journal location (None = journalling off).
     journal_path: Optional[str] = None
     #: fsync each journal record (safest; slower).
@@ -124,10 +108,6 @@ class ServeSettings:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ConfigError("serve workers must be >= 1")
-        if self.max_lease_attempts < 1:
-            raise ConfigError("max lease attempts must be >= 1")
-        if self.lease_ttl <= 0:
-            raise ConfigError("lease ttl must be positive")
         if self.resume and not self.journal_path:
             raise ConfigError("--resume needs a journal path")
 
@@ -139,18 +119,9 @@ class CampaignServer:
         self.settings = settings
         self.harness = settings.harness
         if self.harness.cell_timeout is None:
-            # a cell may run as long as its job's leases would let it;
-            # the armed watchdog makes ``auto`` isolation fork it
-            self.harness = self.harness.replace(
-                cell_timeout=settings.lease_ttl * settings.max_lease_attempts)
-        # The watchdog bounds a forked cell, so its lease outlasts the
-        # harness's run of it by a TTL for forking and caching: the
-        # reaper then never re-leases a cell the watchdog still times.
-        run_budget = self.harness.run_budget()
+            # the armed watchdog makes ``auto`` isolation fork each cell
+            self.harness = self.harness.replace(cell_timeout=CELL_TIMEOUT_S)
         self.queue = JobQueue(lane_depth=settings.lane_depth)
-        self.leases = LeaseManager(
-            ttl=settings.lease_ttl if run_budget is None
-            else run_budget + settings.lease_ttl)
         self.jobs: Dict[str, Job] = {}
         #: cell key -> non-terminal job (the dedup register).
         self.inflight: Dict[str, Job] = {}
@@ -165,10 +136,12 @@ class CampaignServer:
             for name in (
                 "submitted", "accepted", "rejected_full",
                 "rejected_draining", "dedup_coalesced", "cache_hits",
-                "executed", "completed", "failed", "requeued",
-                "lease_expired", "disconnects_injected", "resumed",
+                "executed", "completed", "failed",
+                "disconnects_injected", "resumed",
             )
         }
+        # never incremented; perfbench's serve_metrics still reads it
+        self.registry.counter("serve.requeued")
         self._service_ms = self.registry.histogram("serve.service_ms")
         self._draining = False
         self._drained = False
@@ -180,7 +153,6 @@ class CampaignServer:
         self._server: Optional[asyncio.AbstractServer] = None
         self._pool: Optional[ThreadPoolExecutor] = None
         self._worker_tasks: list = []
-        self._reaper_task: Optional[asyncio.Task] = None
         self._writers: set = set()
 
     # -- lifecycle ---------------------------------------------------------
@@ -220,7 +192,6 @@ class CampaignServer:
             asyncio.ensure_future(self._worker(f"w{index}"))
             for index in range(self.settings.workers)
         ]
-        self._reaper_task = asyncio.ensure_future(self._reaper())
 
     async def serve_forever(self) -> None:
         assert self._server is not None, "server not started"
@@ -237,8 +208,6 @@ class CampaignServer:
         self._draining = True
         await self.queue.close()
         await asyncio.gather(*self._worker_tasks, return_exceptions=True)
-        if self._reaper_task is not None:
-            self._reaper_task.cancel()
         # Give waiting connection handlers a tick to deliver results.
         await asyncio.sleep(0.05)
         if self.journal is not None:
@@ -257,8 +226,6 @@ class CampaignServer:
         record, no backlog flush — the journal must carry the state."""
         for task in self._worker_tasks:
             task.cancel()
-        if self._reaper_task is not None:
-            self._reaper_task.cancel()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -504,54 +471,27 @@ class CampaignServer:
             job = await self.queue.take()
             if job is None:
                 return
-            if job.terminal:
-                continue
-            job.state = LEASED
-            lease = self.leases.grant(job, name)
+            job.state = RUNNING
             if self.journal is not None:
                 self.journal.append({
-                    "rec": "leased", "job": job.id, "worker": name,
+                    "rec": "running", "job": job.id, "worker": name,
                 })
             self._counters["executed"].inc()
             started = time.monotonic()
             try:
                 outcome = await loop.run_in_executor(
-                    self._pool,
-                    functools.partial(
-                        run_cell, job.cell, self.harness, self.cache,
-                        attempt_offset=job.harness_attempts,
-                    ),
+                    self._pool, run_cell, job.cell, self.harness, self.cache,
                 )
             except Exception as error:  # defensive: run_cell never raises
                 outcome = CellOutcome(
                     cell=job.cell, error=ReproError(str(error)), attempts=1,
                 )
-            job.harness_attempts += max(1, outcome.attempts)
-            if not lease.expired:
-                self.leases.release(job)
             elapsed = time.monotonic() - started
             self._service_ms.observe(int(elapsed * 1000))
             self._est_cell_seconds = (
                 0.7 * self._est_cell_seconds + 0.3 * max(elapsed, 0.01)
             )
-            if job.terminal:
-                continue  # a post-expiry duplicate already finished it
-            retryable = (outcome.error is not None
-                         and is_retryable(outcome.error))
-            if outcome.ok or not retryable:
-                self._complete(job, outcome)
-            elif lease.expired:
-                continue  # the reaper has requeued it already
-            elif job.leases < self.settings.max_lease_attempts:
-                self._counters["requeued"].inc()
-                if self.journal is not None:
-                    self.journal.append({
-                        "rec": "requeued", "job": job.id,
-                        "reason": type(outcome.error).__name__,
-                    })
-                await self.queue.requeue(job)
-            else:
-                self._complete(job, outcome)
+            self._complete(job, outcome)
 
     def _complete(self, job: Job, outcome: CellOutcome) -> None:
         job.resolve(outcome, DONE if outcome.ok else FAILED)
@@ -564,36 +504,10 @@ class CampaignServer:
                 "cached": outcome.cached,
             })
 
-    async def _reaper(self) -> None:
-        """Requeue (or fail) jobs whose leases expired."""
-        interval = max(0.05, min(1.0, self.settings.lease_ttl / 4))
-        while True:
-            await asyncio.sleep(interval)
-            for lease in self.leases.reap():
-                job = lease.job
-                if job.terminal:
-                    continue
-                self._counters["lease_expired"].inc()
-                if job.leases >= self.settings.max_lease_attempts:
-                    self._complete(job, CellOutcome(
-                        cell=job.cell,
-                        error=CellTimeoutError(
-                            f"job {job.id} exhausted "
-                            f"{job.leases} lease(s)"),
-                        attempts=job.harness_attempts,
-                    ))
-                    continue
-                if self.journal is not None:
-                    self.journal.append({
-                        "rec": "requeued", "job": job.id,
-                        "reason": "lease-expired",
-                    })
-                await self.queue.requeue(job)
-
     # -- introspection -----------------------------------------------------
 
     def _job_states(self) -> Dict[str, int]:
-        states = {QUEUED: 0, LEASED: 0, DONE: 0, FAILED: 0}
+        states = {QUEUED: 0, RUNNING: 0, DONE: 0, FAILED: 0}
         for job in self.jobs.values():
             states[job.state] = states.get(job.state, 0) + 1
         return states
@@ -602,7 +516,6 @@ class CampaignServer:
         depths = self.queue.depths()
         for lane in LANES:
             self.registry.gauge(f"serve.queue_{lane}").set(depths[lane])
-        self.registry.gauge("serve.leases_active").set(len(self.leases))
         self.registry.gauge("serve.jobs_inflight").set(len(self.inflight))
 
     def _health(self) -> Dict[str, Any]:
@@ -613,7 +526,7 @@ class CampaignServer:
             "draining": self._draining,
             "uptime": round(time.monotonic() - self._started_at, 3),
             "jobs": len(self.jobs),
-            "leases": len(self.leases),
+            "running": self._job_states()[RUNNING],
         }
 
     def _status(self) -> Dict[str, Any]:
@@ -622,8 +535,6 @@ class CampaignServer:
             "draining": self._draining,
             "queues": self.queue.depths(),
             "jobs": self._job_states(),
-            "leases": len(self.leases),
-            "lease_expirations": self.leases.expirations,
             "est_cell_seconds": round(self._est_cell_seconds, 4),
         }
 

@@ -310,31 +310,8 @@ class TestFaultSpecs:
         assert outcome.ok
         assert outcome.attempts == 1
 
-    def test_attempt_offset_gives_global_fault_numbering(self):
-        # A service re-leasing a failed job passes the attempts already
-        # consumed, so an attempts=2 fault fires twice globally rather
-        # than twice per lease.
-        harness = HarnessSettings(
-            retries=0, backoff_base=0.0, isolate="inline",
-            faults=(FaultSpec("crash", "m88ksim", attempts=2),),
-        )
-        first = run_cell(tiny_cell(), harness)
-        assert not first.ok and isinstance(first.error, CellCrashError)
-        second = run_cell(tiny_cell(), harness, attempt_offset=1)
-        assert not second.ok  # global attempt 2: still inside the fault
-        third = run_cell(tiny_cell(), harness, attempt_offset=2)
-        assert third.ok  # global attempt 3: past it
-        assert third.attempts == 1  # local numbering unaffected
-
 
 class TestRetry:
-    def test_run_budget_spans_every_attempt_and_backoff(self):
-        harness = HarnessSettings(cell_timeout=10.0, retries=2,
-                                  backoff_base=0.25, backoff_cap=4.0)
-        assert harness.run_budget() == 3 * 10.0 + 0.25 + 0.5
-        assert harness.replace(isolate="inline").run_budget() is None
-        assert harness.replace(cell_timeout=None).run_budget() is None
-
     def test_transient_fault_retries_to_success(self):
         harness = HarnessSettings(
             backoff_base=0.0, isolate="inline",

@@ -1,13 +1,13 @@
 """Tests for the campaign service (:mod:`repro.serve`).
 
-Unit layer: wire protocol, journal replay, leases, bounded priority
-lanes.  End-to-end layer: a real :class:`CampaignServer` on a loopback
-socket driven by the synchronous :class:`CampaignClient`, including the
-chaos scenarios the subsystem exists for — dedup coalescing, 429 load
-shedding, worker crashes re-leased mid-campaign, injected disconnects
-survived by client retry, and ``kill -9`` (abort) followed by a
-journal-replay resume that loses no accepted job.  Most servers here
-run cells inline (``serve_settings``); ``TestForkedCells`` covers
+Unit layer: wire protocol, journal replay, bounded priority lanes.
+End-to-end layer: a real :class:`CampaignServer` on a loopback socket
+driven by the synchronous :class:`CampaignClient`, including the chaos
+scenarios the subsystem exists for — dedup coalescing, 429 load
+shedding, worker crashes retried by the harness mid-campaign, injected
+disconnects survived by client retry, and ``kill -9`` (abort) followed
+by a journal-replay resume that loses no accepted job.  Most servers
+here run cells inline (``serve_settings``); ``TestForkedCells`` covers
 serve's default, where every cell is forked under the watchdog.
 
 Simulation cells are tiny so the suite stays fast.
@@ -32,7 +32,6 @@ from repro.serve import (
     CampaignServer,
     Journal,
     JobQueue,
-    LeaseManager,
     QueueFullError,
     ServeSettings,
     ServiceError,
@@ -46,6 +45,7 @@ from repro.serve import (
 from repro.serve.journal import last_drain
 from repro.serve.protocol import decode, encode, result_from_wire, result_to_wire
 from repro.serve.queue import DONE, Job
+from repro.serve.server import CELL_TIMEOUT_S
 
 TINY = dict(instructions=200, warmup=2_000, detailed_warmup=80)
 BASE = CoreConfig.base()
@@ -168,8 +168,9 @@ class TestJournal:
             journal.append({"rec": "leased", "job": "j-2", "worker": "w1"})
             journal.append({"rec": "done", "job": "j-1", "ok": True})
         pending = pending_jobs(path)
-        # j-2 was mid-lease at the crash: still pending (the lease died
-        # with the process); j-1 is retired.
+        # j-2 was running at the crash: still pending (the run died
+        # with the process); j-1 is retired.  Older journals wrote
+        # ``leased`` where this server writes ``running``; both replay.
         assert [r["job"] for r in pending] == ["j-2"]
 
     def test_compact_keeps_only_backlog(self, tmp_path):
@@ -196,51 +197,6 @@ class TestJournal:
         with Journal(path) as journal:
             journal.append({"rec": "drain"})
         assert last_drain(path) is not None
-
-
-# --------------------------------------------------------------------------
-# Leases
-# --------------------------------------------------------------------------
-
-class TestLeases:
-    def make_job(self, n=1):
-        return Job(id=f"j-{n}", cell=tiny_cell(), spec={})
-
-    def test_grant_release(self):
-        now = [0.0]
-        leases = LeaseManager(ttl=10.0, clock=lambda: now[0])
-        job = self.make_job()
-        lease = leases.grant(job, "w0")
-        assert len(leases) == 1
-        assert job.leases == 1
-        assert lease.remaining(now[0]) == 10.0
-        assert leases.release(job) is True
-        assert len(leases) == 0
-
-    def test_reap_expires_overdue_only(self):
-        now = [0.0]
-        leases = LeaseManager(ttl=10.0, clock=lambda: now[0])
-        early, late = self.make_job(1), self.make_job(2)
-        leases.grant(early, "w0")
-        now[0] = 5.0
-        leases.grant(late, "w1")
-        now[0] = 10.0
-        reaped = leases.reap()
-        assert [lease.job.id for lease in reaped] == ["j-1"]
-        assert reaped[0].expired
-        assert leases.expirations == 1
-        # The worker holding the expired lease learns it lost it.
-        assert leases.release(late) is True
-
-    def test_renew_extends_deadline(self):
-        now = [0.0]
-        leases = LeaseManager(ttl=10.0, clock=lambda: now[0])
-        job = self.make_job()
-        leases.grant(job, "w0")
-        now[0] = 9.0
-        leases.renew(job)
-        now[0] = 15.0
-        assert leases.reap() == []  # renewed out to t=19
 
 
 # --------------------------------------------------------------------------
@@ -277,15 +233,6 @@ class TestJobQueue:
         retry_after, rejected = run(scenario())
         assert retry_after > 0
         assert rejected == 1
-
-    def test_requeue_bypasses_bound_and_goes_first(self):
-        async def scenario():
-            queue = JobQueue(lane_depth=1)
-            await queue.offer(self.make_job(1))
-            await queue.requeue(self.make_job(2))  # full lane: still in
-            return [(await queue.take()).id for _ in range(2)]
-
-        assert run(scenario()) == ["j-2", "j-1"]
 
     def test_close_wakes_blocked_taker(self):
         async def scenario():
@@ -373,7 +320,7 @@ def serve_settings(tmp_path, faults=(), **overrides) -> ServeSettings:
         isolate="inline", retries=2, backoff_base=0.0,
         cache_dir=str(tmp_path / "cache"), faults=tuple(faults),
     )
-    defaults = dict(port=0, workers=2, lane_depth=16, lease_ttl=60.0,
+    defaults = dict(port=0, workers=2, lane_depth=16,
                     journal_path=str(tmp_path / "journal.jsonl"),
                     harness=harness)
     defaults.update(overrides)
@@ -464,7 +411,7 @@ class TestServerEndToEnd:
 
     def test_worker_crash_is_retried_within_lease(self, tmp_path):
         # The harness's own retry loop absorbs a crash fault; the job
-        # completes on its first lease.
+        # completes on its one run.
         settings = serve_settings(
             tmp_path, faults=[FaultSpec("crash", attempts=1)])
         with ServerThread(settings) as st:
@@ -474,41 +421,27 @@ class TestServerEndToEnd:
         assert reply.ok
         assert reply.attempts == 2  # crash, then clean
 
-    def test_crash_exhausting_harness_retries_is_released(self, tmp_path):
-        # Harness retries=0: the crash consumes the whole lease, the
-        # service re-leases the job, and the global attempt numbering
-        # (attempt_offset) steps past the fault's attempts=1 bound.
+    def test_persistent_crash_fails_after_one_run(self, tmp_path):
+        # A crash on every attempt: the job runs once, and fails once
+        # the harness's 1 + retries attempts are spent.
         harness = HarnessSettings(
-            isolate="inline", retries=0, backoff_base=0.0,
+            isolate="inline", retries=1, backoff_base=0.0,
             cache_dir=str(tmp_path / "cache"),
-            faults=(FaultSpec("crash", attempts=1),),
+            faults=(FaultSpec("crash", attempts=99),),
         )
         settings = serve_settings(tmp_path, harness=harness)
         with ServerThread(settings) as st:
             with CampaignClient(port=st.port) as client:
                 reply = client.submit("m88ksim", **TINY)
-            assert st.counter("requeued") == 1
-            assert st.counter("executed") == 2
+            assert st.counter("executed") == 1
+            assert st.counter("failed") == 1
             records = [r["rec"] for r in read_records(
                 st.settings.journal_path)]
-        assert reply.ok
-        assert records.count("requeued") == 1
-        assert records.count("done") == 1
-
-    def test_persistent_crash_fails_after_max_leases(self, tmp_path):
-        harness = HarnessSettings(
-            isolate="inline", retries=0, backoff_base=0.0,
-            cache_dir=str(tmp_path / "cache"),
-            faults=(FaultSpec("crash", attempts=99),),
-        )
-        settings = serve_settings(tmp_path, harness=harness,
-                                  max_lease_attempts=2)
-        with ServerThread(settings) as st:
-            with CampaignClient(port=st.port) as client:
-                reply = client.submit("m88ksim", **TINY)
-            assert st.counter("failed") == 1
         assert not reply.ok
         assert reply.error_kind == "CellCrashError"
+        assert reply.attempts == 2
+        assert records.count("running") == 1
+        assert "requeued" not in records
 
     def test_injected_disconnect_survived_by_client_retry(self, tmp_path):
         settings = serve_settings(
@@ -533,6 +466,28 @@ class TestServerEndToEnd:
                     client.submit_spec(make_cell_spec("m88ksim", **TINY),
                                        priority="vip")
 
+    def test_wrong_json_types_get_error_replies(self, tmp_path):
+        # int() and dict() of a list, an object or null raise TypeError;
+        # the server must answer with an error and keep the connection.
+        bad_specs = [
+            {"workload": "m88ksim", "config": {"rf": [1]}},
+            {"workload": "m88ksim", "config": {"overrides": [1]}},
+            {"workload": "m88ksim", "instructions": None},
+        ]
+        with ServerThread(serve_settings(tmp_path)) as st:
+            for spec in bad_specs:
+                with socket.create_connection(("127.0.0.1", st.port),
+                                              timeout=10) as sock, \
+                        sock.makefile("rb") as reader:
+                    sock.sendall(encode({"type": "submit", "id": 1,
+                                         "cell": spec}))
+                    reply = json.loads(reader.readline() or b"null")
+                    assert reply and reply["type"] == "error", spec
+                    sock.sendall(encode({"type": "health"}))
+                    health = json.loads(reader.readline() or b"null")
+                    assert health and health["type"] == "health", spec
+            assert st.counter("accepted") == 0
+
     def test_unreadable_trace_gets_a_failure_reply(self, tmp_path):
         missing = f"trace:{tmp_path / 'missing.trace'}"
         with ServerThread(serve_settings(tmp_path)) as st:
@@ -552,7 +507,9 @@ class TestServerEndToEnd:
                 stats = client.stats()
         assert health["ok"] and not health["draining"]
         assert health["protocol"] == 1
-        assert status["jobs"]["done"] == 1
+        assert health["running"] == 0
+        assert status["jobs"] == {"queued": 0, "running": 0, "done": 1,
+                                  "failed": 0}
         assert set(status["queues"]) == {"interactive", "batch"}
         metrics = stats["metrics"]
         assert metrics["serve.submitted"] == 1
@@ -569,7 +526,7 @@ class TestServerEndToEnd:
             accepted = raw_submit(
                 port, make_cell_spec("m88ksim", **TINY))
             assert accepted["type"] == "accepted"
-            time.sleep(0.15)  # job leased, worker sleeping in the fault
+            time.sleep(0.15)  # job running, worker sleeping in the fault
             st.call(st.server.drain(), timeout=30)
             assert st.counter("completed") == 1
             journal_path = st.settings.journal_path
@@ -589,27 +546,28 @@ class TestServerEndToEnd:
         assert reply["code"] == 503
 
 
-def forked_settings(tmp_path, faults=(), retries=0,
+def forked_settings(tmp_path, faults=(), retries=0, cell_timeout=None,
                     **overrides) -> ServeSettings:
     """``serve_settings`` on serve's default isolation."""
     harness = HarnessSettings(
-        retries=retries, backoff_base=0.0,
+        retries=retries, backoff_base=0.0, cell_timeout=cell_timeout,
         cache_dir=str(tmp_path / "cache"), faults=tuple(faults),
     )
     return serve_settings(tmp_path, harness=harness, **overrides)
 
 
 class TestForkedCells:
-    """Serve arms the harness watchdog at ``lease_ttl *
-    max_lease_attempts``, so ``auto`` isolation forks every cell."""
+    """Serve arms the harness watchdog at ``CELL_TIMEOUT_S`` unless the
+    harness sets ``cell_timeout``, so ``auto`` isolation forks every
+    cell."""
 
     def test_hung_cell_is_killed_and_released(self, tmp_path):
-        # Without the watchdog a forked hang is waited on forever: both
-        # workers wedge on the re-leased job and nothing is answered.
-        # The 0.5 s lease TTL gives a 1.5 s watchdog budget.
+        # Without the watchdog a forked hang is waited on forever and
+        # its worker never comes back.  With no retries the killed cell
+        # fails, and its worker serves the next submit.
         settings = forked_settings(
             tmp_path, faults=[FaultSpec("hang", seed="0", attempts=1)],
-            lease_ttl=0.5)
+            cell_timeout=1.5)
         with ServerThread(settings) as st:
             try:
                 with CampaignClient(port=st.port, timeout=10,
@@ -622,26 +580,23 @@ class TestForkedCells:
                 # a wedged fork would otherwise block the drain for good
                 for child in multiprocessing.active_children():
                     child.kill()
-            reasons = [record.get("reason") for record in read_records(
-                st.settings.journal_path) if record["rec"] == "requeued"]
-            assert st.counter("lease_expired") == 0
-        assert hung.ok and after.ok
-        assert reasons == ["CellTimeoutError"]  # killed by the watchdog
+            assert st.counter("executed") == 2
+        assert not hung.ok
+        assert hung.error_kind == "CellTimeoutError"  # killed by the watchdog
+        assert after.ok
         assert after_s < 5.0
 
     def test_hung_cell_is_retried_within_its_lease(self, tmp_path):
         # Default harness retries: the watchdog kills the hung attempt
-        # after 1.5 s and the retry succeeds on the same lease.  The
-        # lease outlasts the whole harness run, so the reaper neither
-        # re-leases the job nor runs it a second time in parallel, and
-        # the other worker serves a second client meanwhile.
+        # after 1.5 s and the retry succeeds in the same run, while the
+        # other worker serves a second client.
         settings = forked_settings(
             tmp_path, faults=[FaultSpec("hang", seed="0", attempts=1)],
-            retries=2, lease_ttl=0.5)
+            retries=2, cell_timeout=1.5)
         seen = {}
 
         def second_client():
-            time.sleep(0.2)  # the hung cell is leased by then
+            time.sleep(0.2)  # the hung cell is running by then
             began = time.monotonic()
             with CampaignClient(port=st.port, timeout=10) as client:
                 seen["reply"] = client.submit("m88ksim", seed=1, **TINY)
@@ -655,34 +610,28 @@ class TestForkedCells:
                 hung = client.submit("m88ksim", seed=0, **TINY)
             other.join(15)
             assert not other.is_alive()
-            counters = {name: st.counter(name) for name in
-                        ("executed", "lease_expired", "requeued")}
+            executed = st.counter("executed")
         assert hung.ok and hung.attempts == 2
         assert seen["reply"].ok and seen["took"] < 1.0
-        assert counters == {"executed": 2, "lease_expired": 0,
-                            "requeued": 0}
+        assert executed == 2
 
     def test_cell_outliving_the_lease_ttl_completes(self, tmp_path):
-        # Every attempt takes over 1 s, past the 0.6 s lease TTL: the
-        # server would still accept its result, so the watchdog (1.8 s)
-        # lets it finish.
+        # Every attempt takes over 1 s, inside the 1.8 s watchdog: the
+        # cell finishes on its first attempt.
         settings = forked_settings(
             tmp_path, faults=[FaultSpec("slow", attempts=99, delay_s=1.0)],
-            lease_ttl=0.6)
+            cell_timeout=1.8)
         with ServerThread(settings) as st:
             with CampaignClient(port=st.port, timeout=15,
                                 retries=0) as client:
                 reply = client.submit("m88ksim", **TINY)
-            counters = {name: st.counter(name) for name in
-                        ("executed", "lease_expired", "requeued")}
+            executed = st.counter("executed")
         assert reply.ok and reply.attempts == 1
-        assert counters == {"executed": 1, "lease_expired": 0,
-                            "requeued": 0}
+        assert executed == 1
 
     def test_cells_fork_by_default(self, tmp_path):
         settings = forked_settings(
-            tmp_path, faults=[FaultSpec("crash", attempts=1)],
-            max_lease_attempts=1)
+            tmp_path, faults=[FaultSpec("crash", attempts=1)])
         with ServerThread(settings) as st:
             with CampaignClient(port=st.port) as client:
                 reply = client.submit("m88ksim", **TINY)
@@ -717,7 +666,7 @@ class TestForkedCells:
             threads = [threading.Thread(target=dropped),
                        threading.Thread(target=slow)]
             threads[0].start()
-            time.sleep(0.2)  # the first cell is leased and sleeping
+            time.sleep(0.2)  # the first cell is running and sleeping
             threads[1].start()
             for thread in threads:
                 thread.join(30)
@@ -730,8 +679,7 @@ class TestForkedCells:
             isolate="inline", retries=0, cache_dir=str(tmp_path / "cache"),
             faults=(FaultSpec("crash", attempts=1),),
         )
-        settings = serve_settings(tmp_path, harness=harness,
-                                  max_lease_attempts=1)
+        settings = serve_settings(tmp_path, harness=harness)
         with ServerThread(settings) as st:
             with CampaignClient(port=st.port) as client:
                 reply = client.submit("m88ksim", **TINY)
@@ -741,22 +689,21 @@ class TestForkedCells:
 
     def test_explicit_cell_timeout_wins_over_lease_ttl(self, tmp_path):
         # The hang is killed at the harness's 0.5 s budget, not the
-        # 60 s lease, and the harness retry succeeds on the same lease.
+        # 360 s default, and the harness retry succeeds.
         harness = HarnessSettings(
             cell_timeout=0.5, retries=1, backoff_base=0.0,
             cache_dir=str(tmp_path / "cache"),
             faults=(FaultSpec("hang", attempts=1),),
         )
-        settings = serve_settings(tmp_path, harness=harness, lease_ttl=60.0)
+        settings = serve_settings(tmp_path, harness=harness)
         assert CampaignServer(settings).harness.cell_timeout == 0.5
         assert CampaignServer(
-            forked_settings(tmp_path, lease_ttl=60.0)
-        ).harness.cell_timeout == 180.0
+            forked_settings(tmp_path)
+        ).harness.cell_timeout == CELL_TIMEOUT_S == 360.0
         with ServerThread(settings) as st:
             with CampaignClient(port=st.port, timeout=15,
                                 retries=0) as client:
                 reply = client.submit("m88ksim", **TINY)
-            assert st.counter("requeued") == 0
         assert reply.ok
         assert reply.attempts == 2
 
@@ -773,7 +720,7 @@ class TestAbortAndResume:
         with ServerThread(settings) as st:
             for spec in specs:
                 assert raw_submit(st.port, spec)["type"] == "accepted"
-            time.sleep(0.2)  # first job leased and wedged in the fault
+            time.sleep(0.2)  # first job running and wedged in the fault
             st.call(st.server.abort(), timeout=30)
             st.server._drained = True  # skip the graceful exit path
         journal_path = settings.journal_path
