@@ -467,7 +467,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         workers=args.workers,
-        lane_depth=args.lane_depth,
         journal_path=args.journal or None,
         journal_fsync=args.fsync,
         resume=args.resume,
@@ -505,7 +504,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         if args.status:
             reply = client.status()
             print(f"draining={reply.get('draining')} "
-                  f"queues={reply.get('queues')} jobs={reply.get('jobs')} "
+                  f"queued={reply.get('queued')} jobs={reply.get('jobs')} "
                   f"running={reply.get('jobs', {}).get('running')}")
             return 0
         if args.drain:
@@ -520,7 +519,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             reply = client.submit(
                 args.workload,
                 seed=args.seed,
-                priority=args.priority,
                 wait=not args.no_wait,
                 want_result=False,
                 dra=args.dra,
@@ -937,8 +935,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser = sub.add_parser(
         "serve",
         help="run the campaign service: async TCP front end with "
-             "request dedup, priority lanes, a crash-safe journal "
-             "and graceful drain",
+             "request dedup, one bounded first-in first-out job queue, "
+             "a crash-safe journal and graceful drain",
     )
     serve_parser.add_argument("--host", default="127.0.0.1")
     serve_parser.add_argument(
@@ -950,11 +948,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="cells simulated in parallel, each in a forked worker "
              "(default 2); with --isolate inline the cells share one "
              "interpreter lock and run one at a time",
-    )
-    serve_parser.add_argument(
-        "--lane-depth", type=int, default=64,
-        help="queued jobs per priority lane before load shedding "
-             "(default 64)",
     )
     serve_parser.add_argument(
         "--journal", default="", metavar="PATH",
@@ -1022,11 +1015,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     submit_parser.add_argument("--seed", type=int, default=0)
     submit_parser.add_argument(
-        "--priority", default="interactive",
-        choices=("interactive", "batch"),
-        help="queue lane (default interactive)",
-    )
-    submit_parser.add_argument(
         "--no-wait", action="store_true",
         help="return after acceptance instead of waiting for the result",
     )
@@ -1043,7 +1031,8 @@ def build_parser() -> argparse.ArgumentParser:
     submit_parser.add_argument("--stats", action="store_true",
                                help="print the service metrics snapshot")
     submit_parser.add_argument("--status", action="store_true",
-                               help="print queue depths and job states")
+                               help="print the queued-job count and "
+                                    "job states")
     submit_parser.add_argument("--drain", action="store_true",
                                help="ask the service to drain gracefully")
     submit_parser.set_defaults(func=_cmd_submit)

@@ -4,8 +4,8 @@ One JSON-lines TCP connection per client; :meth:`CampaignClient.submit`
 sends a cell spec and blocks for the result.  The client is where the
 service's failure modes become invisible to callers:
 
-* ``rejected`` (429, lane full) — honour ``retry_after`` and resubmit,
-  up to ``retries`` times.
+* ``rejected`` (429, job queue full) — honour ``retry_after`` and
+  resubmit, up to ``retries`` times.
 * dropped connection mid-wait (server restart, injected ``disconnect``
   fault) — reconnect and resubmit; the cell key makes the retry free
   (cache hit or dedup onto the still-running job).
@@ -177,7 +177,8 @@ class CampaignClient:
         ``spec_kwargs`` are forwarded to
         :func:`~repro.serve.protocol.make_cell_spec` (``dra``, ``rf``,
         ``instructions``, ``warmup``, ``detailed_warmup``, ``recovery``,
-        ``overrides``, ``dra_overrides``).
+        ``overrides``, ``dra_overrides``).  ``priority`` is accepted and
+        ignored: the server runs jobs first-in first-out.
         """
         spec = make_cell_spec(workload, seed=seed, **spec_kwargs)
         return self.submit_spec(spec, priority=priority, wait=wait,
@@ -185,6 +186,8 @@ class CampaignClient:
 
     def submit_spec(self, spec: Dict[str, Any], priority: str = "batch",
                     wait: bool = True, want_result: bool = True) -> Reply:
+        """Submit one cell spec; ``priority`` is ignored, as in
+        :meth:`submit`."""
         sheds = 0
         reconnects = 0
         last_error: Optional[BaseException] = None
@@ -192,8 +195,7 @@ class CampaignClient:
             self._rid += 1
             message = {
                 "type": "submit", "id": self._rid, "cell": spec,
-                "priority": priority, "wait": wait,
-                "pickle": bool(want_result),
+                "wait": wait, "pickle": bool(want_result),
             }
             try:
                 conn = self._connection()

@@ -2,8 +2,8 @@
 
 The server appends one record per job-lifecycle transition::
 
-    {"rec": "accepted", "job": "j-3", "key": "...", "priority": "batch",
-     "cell": {...spec...}, "t": 12.5}
+    {"rec": "accepted", "job": "j-3", "key": "...", "cell": {...spec...},
+     "t": 12.5}
     {"rec": "running",  "job": "j-3", "worker": "w0", "t": 12.6}
     {"rec": "done",     "job": "j-3", "ok": true, "cached": false, ...}
     {"rec": "drain",    "t": 99.0}

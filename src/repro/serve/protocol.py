@@ -5,16 +5,19 @@ vocabulary is small and explicit:
 
 Client -> server
     ``submit``      run (or coalesce onto) one simulation cell
-    ``status``      queue depths and job states
+    ``status``      queued count and job states
     ``stats``       the server's :mod:`repro.obs` metrics snapshot
     ``health``      liveness/readiness probe
     ``drain``       ask the server to drain gracefully
 
+Jobs run first-in first-out; a ``submit`` may still carry the
+``priority`` key older clients sent, and the server ignores it.
+
 Server -> client
     ``accepted``    the submit was queued (or deduplicated / cache-hit)
     ``result``      terminal outcome of a submitted cell
-    ``rejected``    load shed (429-style, with ``retry_after``) or
-                    drain refusal (503-style)
+    ``rejected``    load shed once the job queue is full (429-style,
+                    with ``retry_after``) or drain refusal (503-style)
     ``error``       malformed request / invalid cell spec
     ``status`` / ``stats`` / ``health`` / ``draining``  replies in kind
 
@@ -54,9 +57,6 @@ PROTOCOL_VERSION = 1
 #: Upper bound on one wire line (a pickled SimResult is ~tens of kB;
 #: this also caps hostile input).
 MAX_LINE_BYTES = 32 * 1024 * 1024
-
-#: Priority lanes, in dispatch order.
-LANES = ("interactive", "batch")
 
 #: Config overrides a submit may set (scalar CoreConfig fields only —
 #: nested sub-configs stay server-default so cell keys remain portable).

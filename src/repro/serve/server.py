@@ -7,8 +7,7 @@ job queue -> core scheduler -> storage)::
     TCP listener (JSON lines)
         -> dedup (content-addressed cell keys; concurrent identical
            submits coalesce onto one in-flight job)
-        -> bounded priority lanes (interactive > batch) with 429-style
-           load shedding
+        -> one bounded FIFO job queue with 429-style load shedding
         -> worker threads, one job each
         -> repro.harness.run_cell (watchdog, classified retries)
            -> shared ResultCache (storage)
@@ -30,8 +29,9 @@ Robustness properties, each tested by the chaos suite:
 * **Crash-safe.**  Every accepted job is journaled before it is
   acknowledged; ``--resume`` replays accepted-but-not-done jobs after a
   ``kill -9``.
-* **Bounded.**  Full lanes shed load with a ``retry_after`` hint
-  instead of growing without bound.
+* **Bounded.**  A full queue sheds load with a ``retry_after`` hint
+  instead of growing without bound, and a finished job is freed: the
+  server holds only live work (queued or running jobs) and counters.
 * **Inherited cell fault tolerance.**  Worker crashes, hangs and
   transient faults are classified and retried by the harness.
 * **Gracefully drainable.**  SIGTERM (or a ``drain`` message) stops
@@ -45,11 +45,12 @@ import asyncio
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.errors import ConfigError, ReproError
 from repro.harness import (
     SERVICE_KINDS,
+    Cell,
     CellOutcome,
     HarnessSettings,
     ResultCache,
@@ -60,7 +61,6 @@ from repro.obs import MetricsRegistry
 from repro.serve import journal as journal_mod
 from repro.serve.journal import Journal
 from repro.serve.protocol import (
-    LANES,
     MAX_LINE_BYTES,
     PROTOCOL_VERSION,
     build_cell,
@@ -68,18 +68,63 @@ from repro.serve.protocol import (
     encode,
     result_to_wire,
 )
-from repro.serve.queue import (
-    DONE,
-    FAILED,
-    QUEUED,
-    RUNNING,
-    Job,
-    JobQueue,
-    QueueFullError,
-)
 
 #: Watchdog budget of one cell attempt when no ``cell_timeout`` is set.
 CELL_TIMEOUT_S = 360.0
+
+#: Jobs waiting for a worker before intake sheds submits with a 429.
+QUEUE_DEPTH = 64
+
+#: Job lifecycle states.
+QUEUED, RUNNING, DONE, FAILED = "queued", "running", "done", "failed"
+
+
+@dataclass
+class Job:
+    """One accepted cell, from intake until a worker completes it::
+
+        queued -> running -> done | failed
+    """
+
+    id: str
+    cell: Cell
+    spec: Dict[str, Any]          # wire spec, journaled for replay
+    state: str = QUEUED
+    #: Terminal outcome (a ``CellOutcome``) once done/failed.
+    outcome: Optional[Any] = None
+    #: Futures resolved with the outcome at completion; one per waiting
+    #: client request (deduplicated submits all land here).
+    waiters: List["asyncio.Future"] = field(default_factory=list)
+
+    @property
+    def key(self) -> str:
+        """The cell's content address (dedup identity)."""
+        return self.cell.key
+
+    @property
+    def terminal(self) -> bool:
+        return self.state in (DONE, FAILED)
+
+    def subscribe(self) -> "asyncio.Future":
+        """A future resolved with this job's terminal outcome."""
+        future: asyncio.Future = asyncio.get_running_loop().create_future()
+        if self.terminal:
+            future.set_result(self.outcome)
+        else:
+            self.waiters.append(future)
+        return future
+
+    def resolve(self, outcome: Any, state: str) -> None:
+        """Move to a terminal state and wake every waiter (idempotent:
+        a second completion is ignored)."""
+        if self.terminal:
+            return
+        self.state = state
+        self.outcome = outcome
+        waiters, self.waiters = self.waiters, []
+        for future in waiters:
+            if not future.done():
+                future.set_result(outcome)
 
 
 @dataclass
@@ -94,8 +139,6 @@ class ServeSettings:
     #: many cells simulate in parallel; ``inline`` cells share the
     #: interpreter lock and run one at a time.
     workers: int = 2
-    #: Queued jobs tolerated per priority lane before load shedding.
-    lane_depth: int = 64
     #: Crash-safe journal location (None = journalling off).
     journal_path: Optional[str] = None
     #: fsync each journal record (safest; slower).
@@ -121,9 +164,11 @@ class CampaignServer:
         if self.harness.cell_timeout is None:
             # the armed watchdog makes ``auto`` isolation fork each cell
             self.harness = self.harness.replace(cell_timeout=CELL_TIMEOUT_S)
-        self.queue = JobQueue(lane_depth=settings.lane_depth)
-        self.jobs: Dict[str, Job] = {}
-        #: cell key -> non-terminal job (the dedup register).
+        #: Accepted jobs in arrival order; drain appends one ``None``
+        #: per worker behind them.
+        self.queue: "asyncio.Queue[Optional[Job]]" = asyncio.Queue()
+        #: cell key -> queued or running job (the dedup register); a job
+        #: leaves it, and the server, when it completes.
         self.inflight: Dict[str, Job] = {}
         self.cache: Optional[ResultCache] = (
             ResultCache(self.harness.cache_dir)
@@ -147,7 +192,6 @@ class CampaignServer:
         self._drained = False
         self._started_at = time.monotonic()
         self._seq = 0
-        self._est_cell_seconds = 1.0
         #: cell key -> delivery attempts seen by the disconnect fault.
         self._disconnect_counts: Dict[str, int] = {}
         self._server: Optional[asyncio.AbstractServer] = None
@@ -206,7 +250,8 @@ class CampaignServer:
         if self._draining:
             return
         self._draining = True
-        await self.queue.close()
+        for _ in self._worker_tasks:
+            self.queue.put_nowait(None)
         await asyncio.gather(*self._worker_tasks, return_exceptions=True)
         # Give waiting connection handlers a tick to deliver results.
         await asyncio.sleep(0.05)
@@ -267,14 +312,10 @@ class CampaignServer:
                     "reason": f"unreplayable: {error}",
                 })
             return
-        priority = record.get("priority", "batch")
-        if priority not in LANES:
-            priority = "batch"
-        job = Job(id=str(job_id), cell=cell, spec=dict(record["cell"]),
-                  priority=priority)
-        self.jobs[job.id] = job
+        # Replayed jobs bypass QUEUE_DEPTH: a previous server accepted them.
+        job = Job(id=str(job_id), cell=cell, spec=dict(record["cell"]))
         self.inflight[job.key] = job
-        await self.queue.restore(job)
+        self.queue.put_nowait(job)
         self._counters["resumed"].inc()
 
     # -- connection handling ----------------------------------------------
@@ -359,14 +400,6 @@ class CampaignServer:
                 "type": "error", "id": rid, "message": str(error),
             })
             return True
-        priority = message.get("priority", "batch")
-        if priority not in LANES:
-            await self._send(writer, {
-                "type": "error", "id": rid,
-                "message": f"unknown priority {priority!r}; "
-                           f"lanes: {', '.join(LANES)}",
-            })
-            return True
         want_pickle = bool(message.get("pickle"))
         wait = message.get("wait", True)
         key = cell.key
@@ -388,33 +421,27 @@ class CampaignServer:
 
         # Dedup: coalesce onto the in-flight job for the same cell.
         job = self.inflight.get(key)
-        dedup = job is not None and not job.terminal
+        dedup = job is not None
         if dedup:
             self._counters["dedup_coalesced"].inc()
+        elif self.queue.qsize() >= QUEUE_DEPTH:
+            self._counters["rejected_full"].inc()
+            await self._send(writer, {
+                "type": "rejected", "id": rid, "code": 429,
+                "reason": f"job queue full ({QUEUE_DEPTH} queued)",
+                "retry_after": round(self._retry_after(), 3),
+            })
+            return True
         else:
             job = Job(id=self._next_job_id(), cell=cell,
-                      spec=dict(message.get("cell") or {}),
-                      priority=priority)
-            try:
-                await self.queue.offer(
-                    job, est_cell_seconds=self._est_cell_seconds,
-                    workers=self.settings.workers,
-                )
-            except QueueFullError as error:
-                self._counters["rejected_full"].inc()
-                await self._send(writer, {
-                    "type": "rejected", "id": rid, "code": 429,
-                    "reason": str(error),
-                    "retry_after": round(error.retry_after, 3),
-                })
-                return True
-            self.jobs[job.id] = job
+                      spec=dict(message.get("cell") or {}))
+            self.queue.put_nowait(job)
             self.inflight[key] = job
             self._counters["accepted"].inc()
             if self.journal is not None:
                 self.journal.append({
                     "rec": "accepted", "job": job.id, "key": key,
-                    "priority": priority, "cell": job.spec,
+                    "cell": job.spec,
                 })
         await self._send(writer, {
             "type": "accepted", "id": rid, "job": job.id, "key": key,
@@ -424,6 +451,14 @@ class CampaignServer:
             return True
         outcome = await job.subscribe()
         return await self._deliver(writer, rid, outcome, want_pickle)
+
+    def _retry_after(self) -> float:
+        """Backoff hint for a shed submit: the time for the backlog to
+        clear, (queued + 1) mean service times over the workers (a
+        service time is taken as 1 s until the first job finishes)."""
+        service = self._service_ms
+        mean_s = service.mean / 1000 if service.count else 1.0
+        return (self.queue.qsize() + 1) * mean_s / self.settings.workers
 
     async def _deliver(self, writer: asyncio.StreamWriter, rid: Any,
                        outcome: CellOutcome, want_pickle: bool) -> bool:
@@ -468,7 +503,7 @@ class CampaignServer:
     async def _worker(self, name: str) -> None:
         loop = asyncio.get_running_loop()
         while True:
-            job = await self.queue.take()
+            job = await self.queue.get()
             if job is None:
                 return
             job.state = RUNNING
@@ -488,9 +523,6 @@ class CampaignServer:
                 )
             elapsed = time.monotonic() - started
             self._service_ms.observe(int(elapsed * 1000))
-            self._est_cell_seconds = (
-                0.7 * self._est_cell_seconds + 0.3 * max(elapsed, 0.01)
-            )
             self._complete(job, outcome)
 
     def _complete(self, job: Job, outcome: CellOutcome) -> None:
@@ -507,15 +539,16 @@ class CampaignServer:
     # -- introspection -----------------------------------------------------
 
     def _job_states(self) -> Dict[str, int]:
-        states = {QUEUED: 0, RUNNING: 0, DONE: 0, FAILED: 0}
-        for job in self.jobs.values():
-            states[job.state] = states.get(job.state, 0) + 1
+        """Live jobs by state, plus the finished ones as counted."""
+        states = {QUEUED: 0, RUNNING: 0,
+                  DONE: self._counters["completed"].value,
+                  FAILED: self._counters["failed"].value}
+        for job in self.inflight.values():
+            states[job.state] += 1
         return states
 
     def _refresh_gauges(self) -> None:
-        depths = self.queue.depths()
-        for lane in LANES:
-            self.registry.gauge(f"serve.queue_{lane}").set(depths[lane])
+        self.registry.gauge("serve.queued").set(self._job_states()[QUEUED])
         self.registry.gauge("serve.jobs_inflight").set(len(self.inflight))
 
     def _health(self) -> Dict[str, Any]:
@@ -525,17 +558,18 @@ class CampaignServer:
             "protocol": PROTOCOL_VERSION,
             "draining": self._draining,
             "uptime": round(time.monotonic() - self._started_at, 3),
-            "jobs": len(self.jobs),
+            "jobs": (self._counters["accepted"].value
+                     + self._counters["resumed"].value),
             "running": self._job_states()[RUNNING],
         }
 
     def _status(self) -> Dict[str, Any]:
+        states = self._job_states()
         return {
             "type": "status",
             "draining": self._draining,
-            "queues": self.queue.depths(),
-            "jobs": self._job_states(),
-            "est_cell_seconds": round(self._est_cell_seconds, 4),
+            "queued": states[QUEUED],
+            "jobs": states,
         }
 
     def _stats(self) -> Dict[str, Any]:

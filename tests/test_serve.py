@@ -1,12 +1,14 @@
 """Tests for the campaign service (:mod:`repro.serve`).
 
-Unit layer: wire protocol, journal replay, bounded priority lanes.
+Unit layer: wire protocol, journal replay, job resolution.
 End-to-end layer: a real :class:`CampaignServer` on a loopback socket
 driven by the synchronous :class:`CampaignClient`, including the chaos
-scenarios the subsystem exists for — dedup coalescing, 429 load
-shedding, worker crashes retried by the harness mid-campaign, injected
-disconnects survived by client retry, and ``kill -9`` (abort) followed
-by a journal-replay resume that loses no accepted job.  Most servers
+scenarios the subsystem exists for — dedup coalescing, first-in
+first-out dispatch, 429 load shedding from the one bounded job queue,
+finished jobs freed, worker crashes retried by the harness
+mid-campaign, injected disconnects survived by client retry, and
+``kill -9`` (abort) followed by a journal-replay resume that loses no
+accepted job.  Most servers
 here run cells inline (``serve_settings``); ``TestForkedCells`` covers
 serve's default, where every cell is forked under the watchdog.
 
@@ -14,6 +16,7 @@ Simulation cells are tiny so the suite stays fast.
 """
 
 import asyncio
+import gc
 import json
 import multiprocessing
 import socket
@@ -31,8 +34,6 @@ from repro.serve import (
     CampaignClient,
     CampaignServer,
     Journal,
-    JobQueue,
-    QueueFullError,
     ServeSettings,
     ServiceError,
     ServiceUnavailableError,
@@ -44,8 +45,8 @@ from repro.serve import (
 )
 from repro.serve.journal import last_drain
 from repro.serve.protocol import decode, encode, result_from_wire, result_to_wire
-from repro.serve.queue import DONE, Job
-from repro.serve.server import CELL_TIMEOUT_S
+from repro.serve import server as server_module
+from repro.serve.server import CELL_TIMEOUT_S, DONE, Job
 
 TINY = dict(instructions=200, warmup=2_000, detailed_warmup=80)
 BASE = CoreConfig.base()
@@ -135,7 +136,6 @@ class TestProtocol:
 class TestJournal:
     def accepted(self, job, **extra):
         record = {"rec": "accepted", "job": job, "key": "k" + job,
-                  "priority": "batch",
                   "cell": make_cell_spec("m88ksim", **TINY)}
         record.update(extra)
         return record
@@ -200,64 +200,13 @@ class TestJournal:
 
 
 # --------------------------------------------------------------------------
-# Queue
+# Job
 # --------------------------------------------------------------------------
 
-class TestJobQueue:
-    def make_job(self, n, priority="batch"):
-        return Job(id=f"j-{n}", cell=tiny_cell(), spec={}, priority=priority)
-
-    def test_interactive_preempts_batch(self):
-        async def scenario():
-            queue = JobQueue(lane_depth=8)
-            await queue.offer(self.make_job(1, "batch"))
-            await queue.offer(self.make_job(2, "interactive"))
-            await queue.offer(self.make_job(3, "batch"))
-            order = [(await queue.take()).id for _ in range(3)]
-            return order
-
-        assert run(scenario()) == ["j-2", "j-1", "j-3"]
-
-    def test_full_lane_sheds_with_retry_after(self):
-        async def scenario():
-            queue = JobQueue(lane_depth=2)
-            await queue.offer(self.make_job(1))
-            await queue.offer(self.make_job(2))
-            with pytest.raises(QueueFullError) as exc:
-                await queue.offer(self.make_job(3), est_cell_seconds=2.0,
-                                  workers=1)
-            # Only the batch lane is full.
-            await queue.offer(self.make_job(4, "interactive"))
-            return exc.value.retry_after, queue.rejected
-
-        retry_after, rejected = run(scenario())
-        assert retry_after > 0
-        assert rejected == 1
-
-    def test_close_wakes_blocked_taker(self):
-        async def scenario():
-            queue = JobQueue()
-            taker = asyncio.ensure_future(queue.take())
-            await asyncio.sleep(0.01)
-            await queue.close()
-            return await asyncio.wait_for(taker, timeout=2)
-
-        assert run(scenario()) is None
-
-    def test_close_drains_remaining_jobs_first(self):
-        async def scenario():
-            queue = JobQueue()
-            await queue.offer(self.make_job(1))
-            await queue.close()
-            return [await queue.take(), await queue.take()]
-
-        first, second = run(scenario())
-        assert first.id == "j-1"
-        assert second is None
-
+class TestJob:
     def test_job_resolution_is_idempotent(self):
         async def scenario():
-            job = self.make_job(1)
+            job = Job(id="j-1", cell=tiny_cell(), spec={})
             future = job.subscribe()
             job.resolve("first", DONE)
             job.resolve("second", DONE)
@@ -320,7 +269,7 @@ def serve_settings(tmp_path, faults=(), **overrides) -> ServeSettings:
         isolate="inline", retries=2, backoff_base=0.0,
         cache_dir=str(tmp_path / "cache"), faults=tuple(faults),
     )
-    defaults = dict(port=0, workers=2, lane_depth=16,
+    defaults = dict(port=0, workers=2,
                     journal_path=str(tmp_path / "journal.jsonl"),
                     harness=harness)
     defaults.update(overrides)
@@ -328,7 +277,8 @@ def serve_settings(tmp_path, faults=(), **overrides) -> ServeSettings:
 
 
 def raw_submit(port, spec, priority="batch", wait=False):
-    """One submit over a raw socket, returning the first reply line."""
+    """One submit over a raw socket, returning the first reply line.
+    The server ignores ``priority``; it is sent as older clients did."""
     with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
         sock.sendall(encode({"type": "submit", "id": 1, "cell": spec,
                              "priority": priority, "wait": wait}))
@@ -384,12 +334,14 @@ class TestServerEndToEnd:
         assert replies[0].ipc == replies[1].ipc
         assert any(reply.dedup for reply in replies)
 
-    def test_full_lane_sheds_429_with_retry_after(self, tmp_path):
+    def test_full_queue_sheds_429_with_retry_after(self, tmp_path,
+                                                   monkeypatch):
+        monkeypatch.setattr(server_module, "QUEUE_DEPTH", 1)
         settings = serve_settings(
-            tmp_path, workers=1, lane_depth=1,
+            tmp_path, workers=1,
             faults=[FaultSpec("slow", attempts=9, delay_s=1.5)])
         with ServerThread(settings) as st:
-            # c1 occupies the worker (sleeping), c2 fills the lane.
+            # c1 occupies the worker (sleeping), c2 fills the queue.
             assert raw_submit(
                 st.port, make_cell_spec("m88ksim", seed=1, **TINY)
             )["type"] == "accepted"
@@ -402,14 +354,53 @@ class TestServerEndToEnd:
             assert shed["type"] == "rejected"
             assert shed["code"] == 429
             assert shed["retry_after"] > 0
-            assert st.counter("rejected_full") == 1
-            # The interactive lane is bounded independently: still open.
+            # One queue for every priority: an interactive submit is
+            # shed too.
             assert raw_submit(
                 st.port, make_cell_spec("m88ksim", seed=4, **TINY),
                 priority="interactive",
-            )["type"] == "accepted"
+            )["type"] == "rejected"
+            assert st.counter("rejected_full") == 2
 
-    def test_worker_crash_is_retried_within_lease(self, tmp_path):
+    def test_jobs_run_in_arrival_order_whatever_their_priority(
+            self, tmp_path):
+        settings = serve_settings(
+            tmp_path, workers=1,
+            faults=[FaultSpec("slow", seed="1", attempts=1, delay_s=0.6)])
+        with ServerThread(settings) as st:
+            # j-1 holds the one worker; j-2 (batch) then j-3
+            # (interactive) wait behind it.
+            for seed, priority in ((1, "batch"), (2, "batch"),
+                                   (3, "interactive")):
+                assert raw_submit(
+                    st.port, make_cell_spec("m88ksim", seed=seed, **TINY),
+                    priority=priority,
+                )["type"] == "accepted"
+                time.sleep(0.15)
+            st.call(st.server.drain(), timeout=30)
+            assert st.counter("completed") == 3
+        running = [r["job"] for r in read_records(settings.journal_path)
+                   if r["rec"] == "running"]
+        assert running == ["j-1", "j-2", "j-3"]
+
+    def test_finished_jobs_are_not_retained(self, tmp_path):
+        settings = serve_settings(tmp_path, workers=2)
+        specs = [make_cell_spec("m88ksim", seed=seed, **TINY)
+                 for seed in range(6)]
+        keys = {build_cell(spec).key for spec in specs}
+        with ServerThread(settings) as st:
+            with CampaignClient(port=st.port) as client:
+                for spec in specs:
+                    assert client.submit_spec(spec, want_result=False).ok
+            assert st.counter("completed") == 6
+            gc.collect()
+            retained = [obj for obj in gc.get_objects()
+                        if isinstance(obj, Job) and obj.key in keys]
+            # Each worker holds the last job it ran until its next get().
+            assert all(job.terminal for job in retained)
+            assert len(retained) <= settings.workers
+
+    def test_worker_crash_is_retried_by_the_harness(self, tmp_path):
         # The harness's own retry loop absorbs a crash fault; the job
         # completes on its one run.
         settings = serve_settings(
@@ -462,9 +453,6 @@ class TestServerEndToEnd:
             with CampaignClient(port=st.port) as client:
                 with pytest.raises(ServiceError):
                     client.submit("m88ksim", overrides={"nope": 1}, **TINY)
-                with pytest.raises(ServiceError):
-                    client.submit_spec(make_cell_spec("m88ksim", **TINY),
-                                       priority="vip")
 
     def test_wrong_json_types_get_error_replies(self, tmp_path):
         # int() and dict() of a list, an object or null raise TypeError;
@@ -507,10 +495,11 @@ class TestServerEndToEnd:
                 stats = client.stats()
         assert health["ok"] and not health["draining"]
         assert health["protocol"] == 1
+        assert health["jobs"] == 1
         assert health["running"] == 0
         assert status["jobs"] == {"queued": 0, "running": 0, "done": 1,
                                   "failed": 0}
-        assert set(status["queues"]) == {"interactive", "batch"}
+        assert status["queued"] == 0
         metrics = stats["metrics"]
         assert metrics["serve.submitted"] == 1
         assert metrics["serve.completed"] == 1
@@ -520,18 +509,25 @@ class TestServerEndToEnd:
     def test_drain_finishes_accepted_work_then_rejects(self, tmp_path):
         settings = serve_settings(
             tmp_path, workers=1,
-            faults=[FaultSpec("slow", attempts=1, delay_s=0.6)])
+            faults=[FaultSpec("slow", seed="0", attempts=1, delay_s=0.6)])
         with ServerThread(settings) as st:
             port = st.port
             accepted = raw_submit(
-                port, make_cell_spec("m88ksim", **TINY))
+                port, make_cell_spec("m88ksim", seed=0, **TINY))
             assert accepted["type"] == "accepted"
             time.sleep(0.15)  # job running, worker sleeping in the fault
+            # two more jobs wait in the queue behind it
+            for seed in (1, 2):
+                assert raw_submit(
+                    port, make_cell_spec("m88ksim", seed=seed, **TINY)
+                )["type"] == "accepted"
             st.call(st.server.drain(), timeout=30)
-            assert st.counter("completed") == 1
+            assert st.counter("completed") == 3
             journal_path = st.settings.journal_path
         records = read_records(journal_path)
-        assert [r["rec"] for r in records[-2:]] == ["done", "drain"]
+        assert records[-1]["rec"] == "drain"
+        done = [r["job"] for r in records if r["rec"] == "done" and r["ok"]]
+        assert done == ["j-1", "j-2", "j-3"]
         assert last_drain(journal_path) is not None
         # The listener is gone: new submits cannot connect.
         with pytest.raises(ServiceUnavailableError):
@@ -586,7 +582,7 @@ class TestForkedCells:
         assert after.ok
         assert after_s < 5.0
 
-    def test_hung_cell_is_retried_within_its_lease(self, tmp_path):
+    def test_hung_cell_is_retried_in_the_same_run(self, tmp_path):
         # Default harness retries: the watchdog kills the hung attempt
         # after 1.5 s and the retry succeeds in the same run, while the
         # other worker serves a second client.
@@ -615,7 +611,7 @@ class TestForkedCells:
         assert seen["reply"].ok and seen["took"] < 1.0
         assert executed == 2
 
-    def test_cell_outliving_the_lease_ttl_completes(self, tmp_path):
+    def test_slow_cell_inside_the_watchdog_completes(self, tmp_path):
         # Every attempt takes over 1 s, inside the 1.8 s watchdog: the
         # cell finishes on its first attempt.
         settings = forked_settings(
@@ -687,7 +683,7 @@ class TestForkedCells:
         assert reply.error_kind == "CellCrashError"
         assert "injected crash fault" in reply.error_message
 
-    def test_explicit_cell_timeout_wins_over_lease_ttl(self, tmp_path):
+    def test_explicit_cell_timeout_wins_over_the_default(self, tmp_path):
         # The hang is killed at the harness's 0.5 s budget, not the
         # 360 s default, and the harness retry succeeds.
         harness = HarnessSettings(
