@@ -7,6 +7,10 @@ crossovers fall — see DESIGN.md §6), and writes the rendered table to
 
 Set ``REPRO_BENCH_FULL=1`` for the seed-averaged settings used to record
 the committed EXPERIMENTS.md numbers.
+
+One session shares a content-keyed result cache, so a cell that several
+benchmarks ask for (a figure's baseline, an ablation's base machine) is
+simulated once and read back afterwards.
 """
 
 import os
@@ -15,6 +19,7 @@ import pathlib
 import pytest
 
 from repro.experiments import ExperimentSettings
+from repro.harness import HarnessSettings, set_default_harness
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -24,6 +29,15 @@ def bench_settings() -> ExperimentSettings:
     if os.environ.get("REPRO_BENCH_FULL"):
         return ExperimentSettings.full()
     return ExperimentSettings(instructions=8_000)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def shared_result_cache(tmp_path_factory):
+    """Install a default harness whose cache lives for the session."""
+    cache_dir = tmp_path_factory.mktemp("cells")
+    previous = set_default_harness(HarnessSettings(cache_dir=str(cache_dir)))
+    yield
+    set_default_harness(previous)
 
 
 @pytest.fixture(scope="session")

@@ -8,14 +8,14 @@ answer is distribution: eight 16-entry CRCs fed by filtered insertion.
 """
 
 from benchmarks.conftest import run_once, save_result
-from repro.experiments import run_centralization_ablation
+from repro.experiments import centralization_ablation, run_ablations
 
 WORKLOADS = ("swim", "compress", "turb3d")
 
 
 def test_ablation_centralization(benchmark, settings, results_dir):
-    result = run_once(
-        benchmark, run_centralization_ablation, settings, WORKLOADS
+    [result], _ = run_once(
+        benchmark, run_ablations, [centralization_ablation(WORKLOADS)], settings
     )
     save_result(results_dir, "ablation_centralization", result.render())
     print()

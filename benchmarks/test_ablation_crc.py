@@ -6,13 +6,15 @@ improvement over simple FIFO.
 """
 
 from benchmarks.conftest import run_once, save_result
-from repro.experiments import run_crc_ablation
+from repro.experiments import crc_ablation, run_ablations
 
 WORKLOADS = ("swim", "apsi")
 
 
 def test_ablation_crc(benchmark, settings, results_dir):
-    result = run_once(benchmark, run_crc_ablation, settings, WORKLOADS)
+    [result], _ = run_once(
+        benchmark, run_ablations, [crc_ablation(WORKLOADS)], settings
+    )
     save_result(results_dir, "ablation_crc", result.render())
     print()
     print(result.render())

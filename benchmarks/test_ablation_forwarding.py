@@ -7,13 +7,15 @@ resolution loop.
 """
 
 from benchmarks.conftest import run_once, save_result
-from repro.experiments import run_forwarding_ablation
+from repro.experiments import forwarding_ablation, run_ablations
 
 WORKLOADS = ("swim", "compress")
 
 
 def test_ablation_forwarding(benchmark, settings, results_dir):
-    result = run_once(benchmark, run_forwarding_ablation, settings, WORKLOADS)
+    [result], _ = run_once(
+        benchmark, run_ablations, [forwarding_ablation(WORKLOADS)], settings
+    )
     save_result(results_dir, "ablation_forwarding", result.render())
     print()
     print(result.render())

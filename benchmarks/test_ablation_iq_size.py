@@ -7,13 +7,15 @@ makes that retention bind.
 """
 
 from benchmarks.conftest import run_once, save_result
-from repro.experiments import run_iq_size_ablation
+from repro.experiments import iq_size_ablation, run_ablations
 
 WORKLOADS = ("swim", "compress")
 
 
 def test_ablation_iq_size(benchmark, settings, results_dir):
-    result = run_once(benchmark, run_iq_size_ablation, settings, WORKLOADS)
+    [result], _ = run_once(
+        benchmark, run_ablations, [iq_size_ablation(WORKLOADS)], settings
+    )
     save_result(results_dir, "ablation_iq_size", result.render())
     print()
     print(result.render())

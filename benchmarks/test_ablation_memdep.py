@@ -7,13 +7,15 @@ beats never-speculating, and approaches perfect disambiguation.
 """
 
 from benchmarks.conftest import run_once, save_result
-from repro.experiments import run_memdep_ablation
+from repro.experiments import memdep_ablation, run_ablations
 
 WORKLOADS = ("compress", "swim")
 
 
 def test_ablation_memdep(benchmark, settings, results_dir):
-    result = run_once(benchmark, run_memdep_ablation, settings, WORKLOADS)
+    [result], _ = run_once(
+        benchmark, run_ablations, [memdep_ablation(WORKLOADS)], settings
+    )
     save_result(results_dir, "ablation_memdep", result.render())
     print()
     print(result.render())

@@ -7,13 +7,15 @@ and the tournament hybrid is at least as good as its components.
 """
 
 from benchmarks.conftest import run_once, save_result
-from repro.experiments import run_predictor_ablation
+from repro.experiments import predictor_ablation, run_ablations
 
 WORKLOADS = ("compress", "go", "m88ksim")
 
 
 def test_ablation_predictor(benchmark, settings, results_dir):
-    result = run_once(benchmark, run_predictor_ablation, settings, WORKLOADS)
+    [result], _ = run_once(
+        benchmark, run_ablations, [predictor_ablation(WORKLOADS)], settings
+    )
     save_result(results_dir, "ablation_predictor", result.render())
     print()
     print(result.render())

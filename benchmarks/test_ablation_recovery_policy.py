@@ -7,13 +7,15 @@ recovery by re-fetching "performs significantly worse than reissue"
 """
 
 from benchmarks.conftest import run_once, save_result
-from repro.experiments import run_recovery_ablation
+from repro.experiments import recovery_ablation, run_ablations
 
 WORKLOADS = ("compress", "swim", "hydro2d", "apsi")
 
 
 def test_ablation_recovery_policy(benchmark, settings, results_dir):
-    result = run_once(benchmark, run_recovery_ablation, settings, WORKLOADS)
+    [result], _ = run_once(
+        benchmark, run_ablations, [recovery_ablation(WORKLOADS)], settings
+    )
     save_result(results_dir, "ablation_recovery", result.render())
     print()
     print(result.render())

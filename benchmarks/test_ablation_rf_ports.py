@@ -9,13 +9,15 @@ reasons, not bandwidth ones).
 """
 
 from benchmarks.conftest import run_once, save_result
-from repro.experiments import run_rf_ports_ablation
+from repro.experiments import rf_ports_ablation, run_ablations
 
 WORKLOADS = ("m88ksim", "swim")
 
 
 def test_ablation_rf_ports(benchmark, settings, results_dir):
-    result = run_once(benchmark, run_rf_ports_ablation, settings, WORKLOADS)
+    [result], _ = run_once(
+        benchmark, run_ablations, [rf_ports_ablation(WORKLOADS)], settings
+    )
     save_result(results_dir, "ablation_rf_ports", result.render())
     print()
     print(result.render())

@@ -6,13 +6,15 @@ and shifts the miss mechanisms toward capacity effects.
 """
 
 from benchmarks.conftest import run_once, save_result
-from repro.experiments import run_slotting_ablation
+from repro.experiments import slotting_ablation, run_ablations
 
 WORKLOADS = ("swim", "apsi")
 
 
 def test_ablation_slotting(benchmark, settings, results_dir):
-    result = run_once(benchmark, run_slotting_ablation, settings, WORKLOADS)
+    [result], _ = run_once(
+        benchmark, run_ablations, [slotting_ablation(WORKLOADS)], settings
+    )
     save_result(results_dir, "ablation_slotting", result.render())
     print()
     print(result.render())

@@ -8,13 +8,15 @@ loop — the paper's central claim.
 """
 
 from benchmarks.conftest import run_once, save_result
-from repro.experiments import run_wake_lead_ablation
+from repro.experiments import wake_lead_ablation, run_ablations
 
 WORKLOADS = ("swim", "turb3d")
 
 
 def test_ablation_wake_lead(benchmark, settings, results_dir):
-    result = run_once(benchmark, run_wake_lead_ablation, settings, WORKLOADS)
+    [result], _ = run_once(
+        benchmark, run_ablations, [wake_lead_ablation(WORKLOADS)], settings
+    )
     save_result(results_dir, "ablation_wake_lead", result.render())
     print()
     print(result.render())

@@ -15,7 +15,8 @@ import sys
 
 from repro.experiments import (
     ExperimentSettings,
-    run_crc_ablation,
+    crc_ablation,
+    run_ablations,
     run_figure8,
     run_figure9,
 )
@@ -44,7 +45,7 @@ def main() -> None:
     print(fig9.render())
     print()
 
-    crc = run_crc_ablation(settings, workloads=workloads[:2])
+    [crc], _ = run_ablations([crc_ablation(workloads[:2])], settings)
     print(crc.render())
     print()
     print("operand miss rates by CRC variant:")

@@ -7,7 +7,7 @@ Subcommands::
     loopsim attribute swim                 measured per-loop cost breakdown
     loopsim fig4 [--workloads a,b] ...     regenerate a paper figure
     loopsim fig5 / fig6 / fig8 / fig9
-    loopsim ablations                      recovery/CRC/FB/... studies
+    loopsim ablations                      all ten prose-claim studies
     loopsim loops [--dra|--machine NAME]   the §1 loop inventory
     loopsim trace swim -n 24               pipeview-style timeline
     loopsim trace capture swim -o t.gz     capture a replayable uop trace
@@ -49,22 +49,16 @@ from repro.errors import (
 )
 from repro.harness import HarnessSettings, default_cache_dir
 from repro.experiments import (
+    ABLATIONS,
     ExperimentSettings,
+    render_failure_report,
     render_loop_inventory,
-    run_centralization_ablation,
-    run_crc_ablation,
+    run_ablations,
     run_figure4,
     run_figure5,
     run_figure6,
     run_figure8,
     run_figure9,
-    run_forwarding_ablation,
-    run_iq_size_ablation,
-    run_memdep_ablation,
-    run_recovery_ablation,
-    run_rf_ports_ablation,
-    run_slotting_ablation,
-    run_wake_lead_ablation,
 )
 from repro.workloads import ALL_WORKLOADS, SMOKE_WORKLOADS
 
@@ -275,24 +269,16 @@ def _cmd_fig(args: argparse.Namespace) -> int:
 
 
 def _cmd_ablations(args: argparse.Namespace) -> int:
-    settings = _settings(args)
-    kwargs = {"harness": _harness(args)}
-    if args.workloads:
-        kwargs["workloads"] = _workloads(args)
-    for runner in (
-        run_recovery_ablation,
-        run_crc_ablation,
-        run_forwarding_ablation,
-        run_slotting_ablation,
-        run_centralization_ablation,
-        run_memdep_ablation,
-        run_wake_lead_ablation,
-        run_iq_size_ablation,
-        run_rf_ports_ablation,
-    ):
-        print(runner(settings, **kwargs).render())
+    kwargs = {"workloads": _workloads(args)} if args.workloads else {}
+    results, failures = run_ablations(
+        [build(**kwargs) for build in ABLATIONS], _settings(args), _harness(args)
+    )
+    for result in results:
+        print(result.render())
         print()
-    return 0
+    if failures:
+        print(render_failure_report(failures))
+    return 1 if failures else 0
 
 
 def _cmd_loops(args: argparse.Namespace) -> int:
@@ -971,7 +957,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(default 2)",
     )
     serve_parser.add_argument(
-        "--isolate", default="auto", choices=("auto", "process", "inline"),
+        "--isolate", default="auto", choices=("auto", "inline"),
         help="cell isolation mode (default auto, which forks every cell "
              "because serve always arms the watchdog; inline runs cells "
              "on the worker threads, without the watchdog)",

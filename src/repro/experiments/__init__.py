@@ -7,7 +7,8 @@ One module per artefact of the paper's evaluation:
 * :mod:`repro.experiments.fig6` — operand-availability-gap CDF.
 * :mod:`repro.experiments.fig8` — DRA vs base speedups.
 * :mod:`repro.experiments.fig9` — operand-source breakdown.
-* :mod:`repro.experiments.ablations` — recovery policy / CRC / FB studies.
+* :mod:`repro.experiments.ablations` — the prose-claim studies (recovery
+  policy, CRC, FB, ...), all run as one campaign.
 * :mod:`repro.experiments.loop_inventory` — the §1 loop framework tables.
 
 All drivers accept an :class:`ExperimentSettings` so tests, benchmarks
@@ -28,16 +29,18 @@ from repro.experiments.fig6 import Figure6Result, run_figure6
 from repro.experiments.fig8 import Figure8Result, run_figure8
 from repro.experiments.fig9 import Figure9Result, run_figure9
 from repro.experiments.ablations import (
-    run_centralization_ablation,
-    run_crc_ablation,
-    run_forwarding_ablation,
-    run_iq_size_ablation,
-    run_memdep_ablation,
-    run_predictor_ablation,
-    run_recovery_ablation,
-    run_rf_ports_ablation,
-    run_slotting_ablation,
-    run_wake_lead_ablation,
+    ABLATIONS,
+    centralization_ablation,
+    crc_ablation,
+    forwarding_ablation,
+    iq_size_ablation,
+    memdep_ablation,
+    predictor_ablation,
+    recovery_ablation,
+    rf_ports_ablation,
+    run_ablations,
+    slotting_ablation,
+    wake_lead_ablation,
 )
 from repro.experiments.loop_inventory import render_loop_inventory
 
@@ -58,15 +61,17 @@ __all__ = [
     "Figure8Result",
     "run_figure9",
     "Figure9Result",
-    "run_recovery_ablation",
-    "run_crc_ablation",
-    "run_forwarding_ablation",
-    "run_slotting_ablation",
-    "run_centralization_ablation",
-    "run_memdep_ablation",
-    "run_wake_lead_ablation",
-    "run_iq_size_ablation",
-    "run_rf_ports_ablation",
-    "run_predictor_ablation",
+    "ABLATIONS",
+    "run_ablations",
+    "recovery_ablation",
+    "crc_ablation",
+    "forwarding_ablation",
+    "slotting_ablation",
+    "centralization_ablation",
+    "memdep_ablation",
+    "wake_lead_ablation",
+    "iq_size_ablation",
+    "rf_ports_ablation",
+    "predictor_ablation",
     "render_loop_inventory",
 ]

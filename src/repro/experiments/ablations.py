@@ -10,9 +10,12 @@
   CRCs and the operand miss rate.
 * **Cluster slotting**: dependence-based slotting versus round-robin.
 
-Every study runs as one harness campaign (see
-:func:`repro.experiments.runner.run_campaign`): failed cells surface as
-``n/a`` entries plus a failure report instead of aborting the study.
+Each builder below returns an :class:`Ablation` spec and runs nothing.
+:func:`run_ablations` submits the cells of every study it is given as
+one harness campaign (see
+:func:`repro.experiments.runner.run_campaign`), so a baseline that
+several studies share is simulated once, and failed cells surface as
+``n/a`` entries plus one failure report instead of aborting the run.
 """
 
 from __future__ import annotations
@@ -27,13 +30,25 @@ from repro.experiments.runner import (
     ExperimentSettings,
     HarnessSettings,
     RunPoint,
-    render_failure_report,
     run_campaign,
 )
 
 #: Representative workloads: a branchy integer code, the archetypal
 #: load-loop code, and the operand-miss-prone low-ILP code.
 DEFAULT_WORKLOADS: Tuple[str, ...] = ("compress", "swim", "apsi")
+
+
+@dataclass(frozen=True)
+class Ablation:
+    """One variant-vs-baseline study: what to simulate and tabulate."""
+
+    title: str
+    #: (name, config) pairs; the first is the baseline every other
+    #: variant's IPC is normalised against
+    variants: Tuple[Tuple[str, CoreConfig], ...]
+    workloads: Tuple[str, ...]
+    #: auxiliary per-point metric (study dependent)
+    aux: Optional[Callable[[RunPoint], float]] = None
 
 
 @dataclass
@@ -47,8 +62,6 @@ class AblationResult:
     rows: Dict[str, Dict[str, Optional[float]]] = field(default_factory=dict)
     #: variant -> workload -> auxiliary metric (policy dependent)
     aux: Dict[str, Dict[str, Optional[float]]] = field(default_factory=dict)
-    #: cells that failed after retries (graceful degradation)
-    failures: List[CellFailure] = field(default_factory=list)
 
     def relative(self, variant: str, workload: str) -> float:
         """IPC of a variant relative to the baseline variant."""
@@ -62,58 +75,57 @@ class AblationResult:
             [variant] + [percent(self.rows[variant][w]) for w in workloads]
             for variant in self.variants
         ]
-        text = format_heading(self.title) + "\n" + format_table(headers, rows)
-        report = render_failure_report(self.failures)
-        return text + ("\n\n" + report if report else "")
+        return format_heading(self.title) + "\n" + format_table(headers, rows)
 
 
-def _run_ablation(
-    title: str,
-    variants: Sequence[Tuple[str, CoreConfig]],
-    workloads: Sequence[str],
-    settings: Optional[ExperimentSettings],
+def run_ablations(
+    ablations: Sequence[Ablation],
+    settings: Optional[ExperimentSettings] = None,
     harness: Optional[HarnessSettings] = None,
-    aux: Optional[Callable[[RunPoint], float]] = None,
-) -> AblationResult:
-    """Run a variant-vs-baseline study as one fault-tolerant campaign.
+) -> Tuple[List[AblationResult], List[CellFailure]]:
+    """Run every study as one fault-tolerant campaign.
 
-    The first variant is the baseline every other variant's IPC is
-    normalised against; a workload whose baseline cell failed reports
-    None for all of its variants.
+    Returns one result per study, in order, and the campaign's failed
+    cells.  A workload whose baseline cell failed reports None for all
+    of that study's variants.
     """
-    settings = settings or ExperimentSettings()
-    result = AblationResult(title=title)
     campaign = run_campaign(
-        [(w, config) for _, config in variants for w in workloads],
-        settings,
+        [
+            (workload, config)
+            for ablation in ablations
+            for _, config in ablation.variants
+            for workload in ablation.workloads
+        ],
+        settings or ExperimentSettings(),
         harness,
     )
-    result.failures = campaign.failures
-    baseline_config = variants[0][1]
-    for name, config in variants:
-        result.variants.append(name)
-        result.rows[name] = {}
-        if aux is not None:
-            result.aux[name] = {}
-        for workload in workloads:
-            point = campaign.point(workload, config)
-            base = campaign.point(workload, baseline_config)
-            if point is None or base is None or base.ipc == 0:
-                result.rows[name][workload] = None
-            else:
-                result.rows[name][workload] = point.ipc / base.ipc
-            if aux is not None:
-                result.aux[name][workload] = (
-                    aux(point) if point is not None else None
-                )
-    return result
+    results = []
+    for ablation in ablations:
+        result = AblationResult(title=ablation.title)
+        baseline_config = ablation.variants[0][1]
+        for name, config in ablation.variants:
+            result.variants.append(name)
+            result.rows[name] = {}
+            if ablation.aux is not None:
+                result.aux[name] = {}
+            for workload in ablation.workloads:
+                point = campaign.point(workload, config)
+                base = campaign.point(workload, baseline_config)
+                if point is None or base is None or base.ipc == 0:
+                    result.rows[name][workload] = None
+                else:
+                    result.rows[name][workload] = point.ipc / base.ipc
+                if ablation.aux is not None:
+                    result.aux[name][workload] = (
+                        ablation.aux(point) if point is not None else None
+                    )
+        results.append(result)
+    return results, campaign.failures
 
 
-def run_recovery_ablation(
-    settings: Optional[ExperimentSettings] = None,
+def recovery_ablation(
     workloads: Sequence[str] = DEFAULT_WORKLOADS,
-    harness: Optional[HarnessSettings] = None,
-) -> AblationResult:
+) -> Ablation:
     """Load-miss recovery policies on the base machine (§2.2.2)."""
     variants = [
         (policy.value, CoreConfig.base().replace(load_recovery=policy))
@@ -121,59 +133,53 @@ def run_recovery_ablation(
             LoadRecovery.REISSUE, LoadRecovery.REFETCH, LoadRecovery.STALL
         )
     ]
-    return _run_ablation(
+    return Ablation(
         "Ablation: load resolution loop management",
-        variants, workloads, settings, harness,
+        tuple(variants), tuple(workloads),
     )
 
 
-def run_crc_ablation(
-    settings: Optional[ExperimentSettings] = None,
+def crc_ablation(
     workloads: Sequence[str] = DEFAULT_WORKLOADS,
     entries: Sequence[int] = (4, 8, 16, 32),
     rf_latency: int = 5,
-    harness: Optional[HarnessSettings] = None,
-) -> AblationResult:
+) -> Ablation:
     """CRC capacity and replacement policy (§5.1)."""
     dras = [(f"fifo-{n}", DRAConfig(crc_entries=n)) for n in entries]
     dras.append(("oracle-16", DRAConfig(crc_entries=16, oracle_crc=True)))
     variants = [
         (name, CoreConfig.with_dra(rf_latency, dra=dra)) for name, dra in dras
     ]
-    return _run_ablation(
+    return Ablation(
         "Ablation: cluster register cache geometry",
-        variants, workloads, settings, harness,
+        tuple(variants), tuple(workloads),
         aux=lambda point: point.last.stats.operand_miss_rate,
     )
 
 
-def run_forwarding_ablation(
-    settings: Optional[ExperimentSettings] = None,
+def forwarding_ablation(
     workloads: Sequence[str] = DEFAULT_WORKLOADS,
     depths: Sequence[int] = (3, 6, 9, 15),
     rf_latency: int = 5,
-    harness: Optional[HarnessSettings] = None,
-) -> AblationResult:
+) -> Ablation:
     """Forwarding-buffer depth under the DRA (§4, Figure 6)."""
     variants = [
         (f"fb-{depth}", CoreConfig.with_dra(rf_latency).replace(fb_depth=depth))
         for depth in depths
     ]
-    return _run_ablation(
+    return Ablation(
         "Ablation: forwarding buffer depth",
-        variants, workloads, settings, harness,
+        tuple(variants), tuple(workloads),
         aux=lambda point: point.last.stats.operand_source_fractions()[
             OperandSource.FORWARD
         ],
     )
 
 
-def run_predictor_ablation(
-    settings: Optional[ExperimentSettings] = None,
+def predictor_ablation(
     workloads: Sequence[str] = ("compress", "go", "m88ksim"),
     kinds: Sequence[str] = ("taken", "bimodal", "gshare", "local", "tournament"),
-    harness: Optional[HarnessSettings] = None,
-) -> AblationResult:
+) -> Ablation:
     """Branch predictor choice — attacking the branch loop's *rate*.
 
     The §1 cost model says mis-speculation cost = occurrences x rate x
@@ -185,19 +191,17 @@ def run_predictor_ablation(
         (kind, CoreConfig.base().replace(predictor=PredictorSpec(kind=kind)))
         for kind in kinds
     ]
-    return _run_ablation(
+    return Ablation(
         "Ablation: branch direction predictor",
-        variants, workloads, settings, harness,
+        tuple(variants), tuple(workloads),
         aux=lambda point: point.last.stats.branch_mispredict_rate,
     )
 
 
-def run_rf_ports_ablation(
-    settings: Optional[ExperimentSettings] = None,
+def rf_ports_ablation(
     workloads: Sequence[str] = ("m88ksim", "swim"),
     ports: Sequence[int] = (16, 12, 8, 4),
-    harness: Optional[HarnessSettings] = None,
-) -> AblationResult:
+) -> Ablation:
     """Register-file read ports on the base machine (§2.1).
 
     The paper keeps full port capability (16 read ports for 8-wide
@@ -210,18 +214,16 @@ def run_rf_ports_ablation(
         (f"ports-{count}", CoreConfig.base().replace(rf_read_ports=count))
         for count in ports
     ]
-    return _run_ablation(
+    return Ablation(
         "Ablation: register file read ports",
-        variants, workloads, settings, harness,
+        tuple(variants), tuple(workloads),
     )
 
 
-def run_wake_lead_ablation(
-    settings: Optional[ExperimentSettings] = None,
+def wake_lead_ablation(
     workloads: Sequence[str] = ("swim", "compress"),
     leads: Sequence[int] = (0, 3, 6, 12),
-    harness: Optional[HarnessSettings] = None,
-) -> AblationResult:
+) -> Ablation:
     """How aggressively missed-load dependents may wake (§2.2.2).
 
     ``load_fill_wake_lead`` is the number of cycles before a missed
@@ -235,18 +237,16 @@ def run_wake_lead_ablation(
         (f"lead-{lead}", CoreConfig.base().replace(load_fill_wake_lead=lead))
         for lead in leads
     ]
-    return _run_ablation(
+    return Ablation(
         "Ablation: load-fill wake lead",
-        variants, workloads, settings, harness,
+        tuple(variants), tuple(workloads),
     )
 
 
-def run_iq_size_ablation(
-    settings: Optional[ExperimentSettings] = None,
+def iq_size_ablation(
     workloads: Sequence[str] = ("swim", "compress"),
     sizes: Sequence[int] = (32, 64, 128, 256),
-    harness: Optional[HarnessSettings] = None,
-) -> AblationResult:
+) -> Ablation:
     """Issue-queue capacity vs the §2.2.2 retention pressure.
 
     Issued instructions hold IQ entries for a full loop delay; with a
@@ -256,19 +256,17 @@ def run_iq_size_ablation(
         (f"iq-{size}", CoreConfig.base().replace(iq_entries=size))
         for size in sizes
     ]
-    return _run_ablation(
+    return Ablation(
         "Ablation: issue queue capacity",
-        variants, workloads, settings, harness,
+        tuple(variants), tuple(workloads),
         aux=lambda point: point.last.stats.avg_iq_issued_waiting,
     )
 
 
-def run_centralization_ablation(
-    settings: Optional[ExperimentSettings] = None,
+def centralization_ablation(
     workloads: Sequence[str] = ("swim", "compress"),
     rf_latency: int = 5,
-    harness: Optional[HarnessSettings] = None,
-) -> AblationResult:
+) -> Ablation:
     """One central register cache vs the distributed CRCs (§4).
 
     The paper argues a single small register cache must fail: "a small
@@ -286,18 +284,16 @@ def run_centralization_ablation(
     variants = [
         (name, CoreConfig.with_dra(rf_latency, dra=dra)) for name, dra in dras
     ]
-    return _run_ablation(
+    return Ablation(
         "Ablation: distributed vs central register cache",
-        variants, workloads, settings, harness,
+        tuple(variants), tuple(workloads),
         aux=lambda point: point.last.stats.operand_miss_rate,
     )
 
 
-def run_memdep_ablation(
-    settings: Optional[ExperimentSettings] = None,
+def memdep_ablation(
     workloads: Sequence[str] = ("compress", "swim"),
-    harness: Optional[HarnessSettings] = None,
-) -> AblationResult:
+) -> Ablation:
     """Memory dependence loop management policies (paper Figure 2).
 
     Store-wait prediction (the default) against always-speculate
@@ -315,26 +311,39 @@ def run_memdep_ablation(
             ("disabled", None),
         )
     ]
-    return _run_ablation(
+    return Ablation(
         "Ablation: memory dependence speculation",
-        variants, workloads, settings, harness,
+        tuple(variants), tuple(workloads),
         aux=lambda point: float(point.last.stats.memdep_traps),
     )
 
 
-def run_slotting_ablation(
-    settings: Optional[ExperimentSettings] = None,
+def slotting_ablation(
     workloads: Sequence[str] = DEFAULT_WORKLOADS,
     rf_latency: int = 5,
-    harness: Optional[HarnessSettings] = None,
-) -> AblationResult:
+) -> Ablation:
     """Dependence-based versus round-robin cluster slotting."""
     variants = [
         (slotting, CoreConfig.with_dra(rf_latency).replace(slotting=slotting))
         for slotting in ("dependence", "round_robin")
     ]
-    return _run_ablation(
+    return Ablation(
         "Ablation: cluster slotting policy",
-        variants, workloads, settings, harness,
+        tuple(variants), tuple(workloads),
         aux=lambda point: point.last.stats.operand_miss_rate,
     )
+
+
+#: Every study's builder, in the order ``loopsim ablations`` prints them.
+ABLATIONS: Tuple[Callable[..., Ablation], ...] = (
+    recovery_ablation,
+    crc_ablation,
+    forwarding_ablation,
+    slotting_ablation,
+    centralization_ablation,
+    memdep_ablation,
+    wake_lead_ablation,
+    iq_size_ablation,
+    rf_ports_ablation,
+    predictor_ablation,
+)

@@ -3,17 +3,18 @@
 Two entry points sit on top of :mod:`repro.harness`:
 
 * :func:`run_config` — one (workload, config) cell, seed-averaged.
-  Raises on failure; memoised in a bounded in-process LRU that reads
-  through to the harness's persistent cache.
+  Raises on failure.
 * :func:`run_campaign` — a batch of cells executed with isolation,
   timeouts and retries.  Never raises for cell failures: the returned
   :class:`Campaign` carries the completed points *and* a failure report,
   so figure drivers degrade to partial output instead of aborting.
+
+A result is reused by content key only: a batch runs each distinct cell
+once, and separate batches share cells only through a cache directory.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -24,7 +25,6 @@ from repro.harness import (
     Cell,
     CellFailure,
     HarnessSettings,
-    default_harness,
     execute_cells,
 )
 
@@ -71,42 +71,6 @@ class RunPoint:
         return self.results[-1]
 
 
-class _RunCache:
-    """Bounded LRU memo of (workload, config, settings) cells.
-
-    This is the in-process layer; the harness's on-disk
-    :class:`~repro.harness.ResultCache` sits underneath it (consulted by
-    :func:`run_config` on a memo miss), making the pair a classic
-    read-through hierarchy.
-    """
-
-    def __init__(self, maxsize: int = 128) -> None:
-        self.maxsize = maxsize
-        self._cells: "OrderedDict[tuple, RunPoint]" = OrderedDict()
-
-    def key(self, workload: str, config: CoreConfig,
-            settings: ExperimentSettings) -> tuple:
-        return (workload, config, settings)
-
-    def get(self, key: tuple) -> Optional[RunPoint]:
-        point = self._cells.get(key)
-        if point is not None:
-            self._cells.move_to_end(key)
-        return point
-
-    def put(self, key: tuple, point: RunPoint) -> None:
-        self._cells[key] = point
-        self._cells.move_to_end(key)
-        while len(self._cells) > self.maxsize:
-            self._cells.popitem(last=False)
-
-    def __len__(self) -> int:
-        return len(self._cells)
-
-
-_CACHE = _RunCache()
-
-
 def _cells_for(
     workload: str, config: CoreConfig, settings: ExperimentSettings
 ) -> List[Cell]:
@@ -132,7 +96,6 @@ def run_config(
     workload: str,
     config: CoreConfig,
     settings: ExperimentSettings,
-    use_cache: bool = True,
     harness: Optional[HarnessSettings] = None,
 ) -> RunPoint:
     """Run one (workload, config) cell, averaged over the seeds.
@@ -142,21 +105,13 @@ def run_config(
     persistent cache to every experiment driver.  Raises the cell's
     classified :class:`~repro.errors.ReproError` if it ultimately fails.
     """
-    harness = harness or default_harness()
-    key = _CACHE.key(workload, config, settings)
-    if use_cache:
-        cached = _CACHE.get(key)
-        if cached is not None:
-            return cached
     outcomes = execute_cells(_cells_for(workload, config, settings), harness)
     for outcome in outcomes:
         if not outcome.ok:
             raise outcome.error
-    point = _assemble_point(
+    return _assemble_point(
         workload, config, [outcome.result for outcome in outcomes]
     )
-    _CACHE.put(key, point)
-    return point
 
 
 @dataclass
@@ -200,21 +155,13 @@ def run_campaign(
     harness: Optional[HarnessSettings] = None,
 ) -> Campaign:
     """Execute every (workload, config) pair, tolerating cell failures."""
-    harness = harness or default_harness()
     campaign = Campaign(settings=settings)
-    pending: List[Tuple[str, CoreConfig]] = []
-    cells: List[Cell] = []
-    seen = set()
-    for workload, config in pairs:
-        if (workload, config) in seen:
-            continue
-        seen.add((workload, config))
-        memo = _CACHE.get(_CACHE.key(workload, config, settings))
-        if memo is not None:
-            campaign.points[(workload, config)] = memo
-            continue
-        pending.append((workload, config))
-        cells.extend(_cells_for(workload, config, settings))
+    pending = list(dict.fromkeys(pairs))
+    cells = [
+        cell
+        for workload, config in pending
+        for cell in _cells_for(workload, config, settings)
+    ]
     outcomes = iter(execute_cells(cells, harness))
     for workload, config in pending:
         results: List[SimResult] = []
@@ -228,7 +175,7 @@ def run_campaign(
                 failed = True
         if failed:
             continue
-        point = _assemble_point(workload, config, results)
-        campaign.points[(workload, config)] = point
-        _CACHE.put(_CACHE.key(workload, config, settings), point)
+        campaign.points[(workload, config)] = _assemble_point(
+            workload, config, results
+        )
     return campaign

@@ -21,9 +21,10 @@ Execution modes
   forked it, so no cell outlives its campaign or server.
 
 ``isolate="auto"`` picks process mode whenever a timeout or ``jobs > 1``
-asks for it.  Retryable failures (timeout, crash, transient) are retried
-``retries`` times with capped exponential backoff; deterministic ones
-(config/workload errors, simulation deadlocks) fail immediately.
+asks for it, and ``isolate="inline"`` never forks.  Retryable failures
+(timeout, crash, transient) are retried ``retries`` times with capped
+exponential backoff; deterministic ones (config/workload errors,
+simulation deadlocks) fail immediately.
 
 With a cache directory configured, finished cells are persisted through
 :class:`~repro.harness.cache.ResultCache` and later campaigns resume by
@@ -79,9 +80,9 @@ class HarnessSettings:
     backoff_base: float = 0.25
     #: Backoff ceiling in seconds.
     backoff_cap: float = 4.0
-    #: "auto" | "process" | "inline".
+    #: "auto" | "inline".
     isolate: str = "auto"
-    #: Persistent cache root (None = in-memory memoisation only).
+    #: Persistent cache root (None = no reuse across batches).
     cache_dir: Optional[str] = None
     #: Read previously cached cells (writes happen whenever cache_dir
     #: is set; turning this off forces recomputation).
@@ -103,14 +104,12 @@ class HarnessSettings:
             raise ConfigError("retries cannot be negative")
         if self.cell_timeout is not None and self.cell_timeout <= 0:
             raise ConfigError("cell timeout must be positive")
-        if self.isolate not in ("auto", "process", "inline"):
+        if self.isolate not in ("auto", "inline"):
             raise ConfigError(f"unknown isolation mode {self.isolate!r}")
 
     @property
     def uses_processes(self) -> bool:
         """Whether cells run in worker subprocesses."""
-        if self.isolate == "process":
-            return True
         if self.isolate == "inline":
             return False
         return self.jobs > 1 or self.cell_timeout is not None

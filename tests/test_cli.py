@@ -143,17 +143,69 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.startswith("error:")
 
-    def test_cached_figure_resumes_from_cache_dir(self, capsys, tmp_path):
+    def test_cached_figure_resumes_from_cache_dir(
+        self, capsys, tmp_path, monkeypatch
+    ):
         argv = [
             "fig6", "--instructions", "600",
             "--cache-dir", str(tmp_path),
         ]
         assert main(argv) == 0
         first = capsys.readouterr().out
-        # The persistent cache now holds the cell; a fresh process-level
-        # memo must still reproduce the figure from disk.
-        from repro.experiments import runner as runner_mod
-        runner_mod._CACHE = runner_mod._RunCache()
+        # The persistent cache now holds the cell, so the second run
+        # reproduces the figure from disk without simulating.
+        from repro.harness import executor as executor_mod
+        calls = []
+        real = executor_mod._simulate_cell
+        monkeypatch.setattr(
+            executor_mod, "_simulate_cell",
+            lambda cell, **kw: calls.append(cell) or real(cell, **kw),
+        )
         assert main(argv) == 0
         assert capsys.readouterr().out == first
+        assert calls == []
         assert any(tmp_path.glob("*/*.pkl"))
+
+
+def _cheap_campaigns(monkeypatch):
+    """Shrink the CLI's warmup and retry backoff, so a campaign of every
+    ablation study stays cheap."""
+    import dataclasses
+
+    import repro.__main__ as cli
+
+    settings, harness = cli._settings, cli._harness
+    monkeypatch.setattr(
+        cli, "_settings",
+        lambda args: dataclasses.replace(
+            settings(args), warmup=2_000, detailed_warmup=80
+        ),
+    )
+    monkeypatch.setattr(
+        cli, "_harness", lambda args: harness(args).replace(backoff_base=0.0)
+    )
+
+
+class TestAblations:
+    def test_prints_all_ten_studies(self, capsys, monkeypatch):
+        _cheap_campaigns(monkeypatch)
+        assert main([
+            "ablations", "--instructions", "250", "--workloads", "swim",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert out.count("Ablation:") == 10
+        assert "Ablation: branch direction predictor" in out
+        assert "failed" not in out
+
+    def test_failed_cells_exit_1_with_one_report(self, capsys, monkeypatch):
+        # every cell crashes before it simulates, so this stays cheap
+        _cheap_campaigns(monkeypatch)
+        monkeypatch.setenv("REPRO_FAULTS", "crash|swim|*|*|99")
+        assert main([
+            "ablations", "--instructions", "250", "--workloads", "swim",
+        ]) == 1
+        out = capsys.readouterr().out
+        assert out.count("Ablation:") == 10
+        assert "n/a" in out
+        assert out.count("cell(s) failed") == 1
+        assert "CellCrashError" in out

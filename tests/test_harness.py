@@ -30,8 +30,7 @@ from repro.errors import (
     is_retryable,
 )
 from repro.experiments import ExperimentSettings, run_config
-from repro.experiments.runner import _RunCache, RunPoint, run_campaign
-from repro.experiments import runner as runner_mod
+from repro.experiments.runner import run_campaign
 from repro.harness import (
     Cell,
     FaultSpec,
@@ -46,12 +45,6 @@ from repro.harness.executor import _run_isolated
 
 TINY = ExperimentSettings(instructions=250, warmup=2_000, detailed_warmup=80)
 BASE = CoreConfig.base()
-
-
-@pytest.fixture
-def fresh_memo(monkeypatch):
-    """Isolate the in-process memo so faults cannot be masked by it."""
-    monkeypatch.setattr(runner_mod, "_CACHE", _RunCache())
 
 
 def tiny_cell(workload="m88ksim", config=BASE, seed=0) -> Cell:
@@ -352,7 +345,7 @@ class TestRetry:
 class TestProcessIsolation:
     def test_subprocess_matches_inline_result(self):
         inline = run_cell(tiny_cell(), HarnessSettings(isolate="inline"))
-        isolated = run_cell(tiny_cell(), HarnessSettings(isolate="process"))
+        isolated = run_cell(tiny_cell(), HarnessSettings(cell_timeout=60.0))
         assert inline.ok and isolated.ok
         assert isolated.result.ipc == inline.result.ipc
 
@@ -379,7 +372,7 @@ class TestProcessIsolation:
 
     def test_crash_reports_exit_code(self):
         harness = HarnessSettings(
-            isolate="process", retries=0, backoff_base=0.0,
+            cell_timeout=60.0, retries=0, backoff_base=0.0,
             faults=(FaultSpec("crash", "m88ksim", attempts=99),),
         )
         outcome = run_cell(tiny_cell(), harness)
@@ -541,7 +534,7 @@ class TestCampaignRecovery:
             cache_dir=str(cache_dir), faults=faults,
         )
 
-    def test_partial_campaign_then_resume(self, tmp_path, fresh_memo):
+    def test_partial_campaign_then_resume(self, tmp_path):
         harness = self.harness(tmp_path, self.FAULTS)
         campaign = run_campaign(
             [(w, BASE) for w in self.WORKLOADS], TINY, harness
@@ -573,7 +566,7 @@ class TestCampaignRecovery:
         assert not outcomes["swim"].cached
         assert not outcomes["gcc"].cached
 
-    def test_resume_disabled_recomputes(self, tmp_path, fresh_memo):
+    def test_resume_disabled_recomputes(self, tmp_path):
         harness = self.harness(tmp_path)
         first = run_cell(tiny_cell(), harness)
         again = run_cell(tiny_cell(), harness)
@@ -582,7 +575,7 @@ class TestCampaignRecovery:
 
 
 class TestRunConfigIntegration:
-    def test_run_config_raises_classified_errors(self, fresh_memo):
+    def test_run_config_raises_classified_errors(self):
         with pytest.raises(WorkloadError):
             run_config("doom3", BASE, TINY)
         bad = ExperimentSettings(instructions=0)
@@ -590,48 +583,42 @@ class TestRunConfigIntegration:
             run_config("m88ksim", BASE, bad)
 
     def test_run_config_reads_through_persistent_cache(
-        self, tmp_path, fresh_memo, monkeypatch
+        self, tmp_path, monkeypatch
     ):
         harness = HarnessSettings(cache_dir=str(tmp_path))
         first = run_config("m88ksim", BASE, TINY, harness=harness)
-        # New memo: the point must be rebuilt from disk, not re-simulated.
-        monkeypatch.setattr(runner_mod, "_CACHE", _RunCache())
+        # The point must be rebuilt from disk, not re-simulated.
         calls = []
         from repro.harness import executor as executor_mod
         real = executor_mod._simulate_cell
         monkeypatch.setattr(
             executor_mod, "_simulate_cell",
-            lambda cell: calls.append(cell) or real(cell),
+            lambda cell, **kw: calls.append(cell) or real(cell, **kw),
         )
         second = run_config("m88ksim", BASE, TINY, harness=harness)
         assert second.ipc == first.ipc
         assert calls == []
 
+    def test_recaptured_trace_gives_the_new_result(self, tmp_path):
+        # A same-named workload whose content changed is a different
+        # cell: neither entry point may return the old trace's result.
+        from repro.scenarios import capture_trace
 
-class TestRunCacheLRU:
-    def make_point(self, tag):
-        return RunPoint(workload=tag, config=BASE, ipc=1.0)
-
-    def test_bounded(self):
-        cache = _RunCache(maxsize=2)
-        for tag in ("a", "b", "c"):
-            cache.put((tag,), self.make_point(tag))
-        assert len(cache) == 2
-        assert cache.get(("a",)) is None
-        assert cache.get(("c",)) is not None
-
-    def test_get_refreshes_recency(self):
-        cache = _RunCache(maxsize=2)
-        cache.put(("a",), self.make_point("a"))
-        cache.put(("b",), self.make_point("b"))
-        cache.get(("a",))  # 'a' is now most recent; 'b' should evict
-        cache.put(("c",), self.make_point("c"))
-        assert cache.get(("a",)) is not None
-        assert cache.get(("b",)) is None
+        path = str(tmp_path / "t.trace.gz")
+        workload = f"trace:{path}"
+        capture_trace("compress", path, 3_000)
+        old = run_config(workload, BASE, TINY)
+        capture_trace("swim", path, 3_000, seed=3)
+        truth = run_cell(tiny_cell(workload=workload),
+                         HarnessSettings(isolate="inline"))
+        assert truth.ok and truth.result.ipc != old.ipc
+        assert run_config(workload, BASE, TINY).ipc == truth.result.ipc
+        campaign = run_campaign([(workload, BASE)], TINY)
+        assert campaign.point(workload, BASE).ipc == truth.result.ipc
 
 
 class TestGracefulFigures:
-    def test_figure4_marks_failed_cells(self, fresh_memo):
+    def test_figure4_marks_failed_cells(self):
         from repro.experiments import run_figure4
 
         harness = HarnessSettings(
