@@ -407,10 +407,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         detailed_warmup=args.detailed_warmup,
         budget=args.budget,
         backend=args.backend,
-        rung_backends=(
-            tuple(args.rung_backends.split(","))
-            if args.rung_backends else None
-        ),
     )
     result = run_exploration(
         space,
@@ -907,14 +903,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="run every cell under the differential verifier",
     )
     explore_parser.add_argument(
-        "--backend", default=DEFAULT_BACKEND, metavar="SPEC",
-        help="kernel backend for every rung (default %(default)s)",
-    )
-    explore_parser.add_argument(
-        "--rung-backends", default="", metavar="SPEC,SPEC,...",
-        help="per-rung backend overrides, cheapest rung first; shorter "
-             "lists repeat their last entry (e.g. sampled,optimized: "
-             "sampled triage rungs, exact final scoring)",
+        "--backend", default=DEFAULT_BACKEND, metavar="SPEC[,SPEC...]",
+        help="kernel backend for every rung, or one per rung, cheapest "
+             "rung first, the last repeating (e.g. sampled,optimized: "
+             "sampled triage rungs, exact final scoring; default "
+             "%(default)s)",
     )
     explore_parser.set_defaults(func=_cmd_explore)
 

@@ -14,12 +14,10 @@ from repro.core.config import (
 from repro.core.stats import CoreStats, OperandSource
 from repro.core.pipeline import Simulator
 from repro.core.backend import (
+    BACKENDS,
     KernelBackend,
     SamplingReport,
-    available_backends,
-    get_backend,
     parse_backend,
-    register_backend,
 )
 from repro.core.simulator import SimResult, simulate
 
@@ -30,12 +28,10 @@ __all__ = [
     "CoreStats",
     "OperandSource",
     "Simulator",
+    "BACKENDS",
     "KernelBackend",
     "SamplingReport",
-    "available_backends",
-    "get_backend",
     "parse_backend",
-    "register_backend",
     "SimResult",
     "simulate",
 ]

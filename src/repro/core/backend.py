@@ -58,16 +58,14 @@ __all__ = [
     "SamplingWindow",
     "SamplingReport",
     "RetireStreamRecorder",
-    "register_backend",
-    "get_backend",
-    "available_backends",
+    "BACKENDS",
     "parse_backend",
     "DEFAULT_BACKEND",
 ]
 
 #: The kernel every default path runs: ``simulate()``, experiment and
 #: explore settings, the harness and the CLI all read this one name.
-#: ``reference`` stays registered as the named ground truth.
+#: ``reference`` stays selectable by name as the ground truth.
 DEFAULT_BACKEND = "optimized"
 
 
@@ -84,7 +82,7 @@ class KernelBackend(ABC):
     backend test matrix enforces, not a hint.
     """
 
-    #: Registry name (also the default cache token).
+    #: Name in :data:`BACKENDS` (also the default cache token).
     name: str = "?"
     #: Whether this backend reproduces the reference retire stream and
     #: ``CoreStats`` bit for bit.  Exact backends are interchangeable
@@ -355,36 +353,14 @@ class SampledBackend(KernelBackend):
 
 
 # ---------------------------------------------------------------------------
-# Registry
+# Selection by name
 # ---------------------------------------------------------------------------
 
-_REGISTRY: Dict[str, KernelBackend] = {}
-
-
-def register_backend(
-    backend: KernelBackend, replace: bool = False
-) -> KernelBackend:
-    """Register ``backend`` under its name; returns it for chaining."""
-    if not replace and backend.name in _REGISTRY:
-        raise ConfigError(f"backend {backend.name!r} is already registered")
-    _REGISTRY[backend.name] = backend
-    return backend
-
-
-def get_backend(name: str) -> KernelBackend:
-    """The registered backend called ``name``."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown kernel backend {name!r} "
-            f"(available: {', '.join(available_backends())})"
-        ) from None
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Registered backend names, in registration order."""
-    return tuple(_REGISTRY)
+#: Every backend by name; :func:`parse_backend` reads it.
+BACKENDS: Dict[str, KernelBackend] = {
+    backend.name: backend
+    for backend in (ReferenceBackend(), OptimizedBackend(), SampledBackend())
+}
 
 
 def parse_backend(
@@ -392,21 +368,21 @@ def parse_backend(
 ) -> KernelBackend:
     """Resolve a backend argument: instance, name, or parameter string.
 
-    Accepts a :class:`KernelBackend`, a registered name, ``None`` (the
-    :data:`DEFAULT_BACKEND`) or a parameterised sampled spec of the form
-    ``sampled:<windows>x<measure>+<window_warmup>`` (e.g.
-    ``sampled:8x500+150``).
+    Accepts a :class:`KernelBackend`, a name in :data:`BACKENDS`,
+    ``None`` (the :data:`DEFAULT_BACKEND`) or a parameterised sampled
+    spec of the form ``sampled:<windows>x<measure>+<window_warmup>``
+    (e.g. ``sampled:8x500+150``).
     """
     if spec is None:
-        return _REGISTRY[DEFAULT_BACKEND]
+        return BACKENDS[DEFAULT_BACKEND]
     if isinstance(spec, KernelBackend):
         return spec
     if not isinstance(spec, str):
         raise ConfigError(
             f"backend must be a name or KernelBackend (got {spec!r})"
         )
-    if spec in _REGISTRY:
-        return _REGISTRY[spec]
+    if spec in BACKENDS:
+        return BACKENDS[spec]
     if spec.startswith("sampled:"):
         body = spec[len("sampled:"):]
         try:
@@ -424,13 +400,8 @@ def parse_backend(
             ) from exc
     raise ConfigError(
         f"unknown kernel backend {spec!r} "
-        f"(available: {', '.join(available_backends())})"
+        f"(available: {', '.join(BACKENDS)})"
     )
-
-
-register_backend(ReferenceBackend())
-register_backend(OptimizedBackend())
-register_backend(SampledBackend())
 
 
 # ---------------------------------------------------------------------------

@@ -131,10 +131,6 @@ class Campaign:
         """The completed point for a cell, or None if any seed failed."""
         return self.points.get((workload, config))
 
-    @property
-    def complete(self) -> bool:
-        return not self.failures
-
     def failure_report(self) -> str:
         """A rendered failure summary ('' when the campaign is clean)."""
         return render_failure_report(self.failures)

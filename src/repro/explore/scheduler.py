@@ -61,13 +61,12 @@ class HalvingSettings:
     detailed_warmup: int = 500
     #: Total detailed-instruction budget (None = the rung geometry).
     budget: Optional[int] = None
-    #: Kernel backend for every rung (a :func:`repro.core.backend.
-    #: parse_backend` spec).
+    #: Kernel backend: one :func:`repro.core.backend.parse_backend`
+    #: spec for every rung, or comma-separated specs per rung, cheapest
+    #: rung first, the last repeating.  The classic per-rung use:
+    #: ``sampled,optimized``, sampled rungs to triage and an exact final
+    #: rung to score.
     backend: str = DEFAULT_BACKEND
-    #: Optional per-rung backend override, one entry per rung from the
-    #: cheapest up; shorter tuples repeat their last entry.  The classic
-    #: use: sampled early rungs to triage, an exact final rung to score.
-    rung_backends: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
         if self.rungs < 1:
@@ -82,8 +81,6 @@ class HalvingSettings:
             raise ConfigError("need at least one seed")
         if self.budget is not None and self.budget < 1:
             raise ConfigError("budget must be positive")
-        if self.rung_backends is not None and not self.rung_backends:
-            raise ConfigError("rung_backends cannot be empty; use None")
 
     def rung_instructions(self, rung: int) -> int:
         """Detailed instructions simulated per cell at one rung."""
@@ -91,9 +88,8 @@ class HalvingSettings:
 
     def rung_backend(self, rung: int) -> str:
         """Backend spec used at one rung."""
-        if self.rung_backends is None:
-            return self.backend
-        return self.rung_backends[min(rung, len(self.rung_backends) - 1)]
+        specs = self.backend.split(",")
+        return specs[min(rung, len(specs) - 1)]
 
     @property
     def final_instructions(self) -> int:

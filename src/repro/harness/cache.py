@@ -144,12 +144,12 @@ class ResultCache:
                 pass
             raise
 
-    def _load(self, key: str) -> Optional[Dict[str, Any]]:
-        """The validated payload dict for ``key``, or None (a miss).
+    def get(self, key: str) -> Optional[Any]:
+        """The cached result for ``key``, or None on any kind of miss.
 
-        Both :meth:`get` and :meth:`__contains__` route through here, so
-        they agree on what "present" means (readable, unpicklable,
-        current ``CACHE_VERSION``) and both count hit/miss stats.
+        Only a readable, unpicklable entry of the current
+        ``CACHE_VERSION`` is a hit; every call counts in the hit/miss
+        stats.
         """
         path = self.path(key)
         stat: Optional[os.stat_result] = None
@@ -177,7 +177,7 @@ class ResultCache:
             self.misses += 1
             return None
         self.hits += 1
-        return payload
+        return payload.get("result")
 
     @staticmethod
     def _remove_corrupt(path: Path, stat: Optional[os.stat_result]) -> None:
@@ -202,13 +202,6 @@ class ResultCache:
         except OSError:
             pass
 
-    def get(self, key: str) -> Optional[Any]:
-        """The cached result for ``key``, or None on any kind of miss."""
-        payload = self._load(key)
-        if payload is None:
-            return None
-        return payload.get("result")
-
     def put(self, key: str, result: Any, meta: Optional[Dict[str, Any]] = None) -> None:
         """Atomically persist ``result`` under ``key``."""
         path = self.path(key)
@@ -227,16 +220,6 @@ class ResultCache:
             except OSError:
                 pass
             raise
-
-    def __contains__(self, key: str) -> bool:
-        """Whether ``key`` holds a *valid* entry.
-
-        Validates exactly like :meth:`get` (payload shape and
-        ``CACHE_VERSION``), so resume and request-deduplication logic
-        never treat a stale or corrupt entry as present, and the probe
-        is counted in the hit/miss stats.
-        """
-        return self._load(key) is not None
 
     def __len__(self) -> int:
         if not self.root.exists():

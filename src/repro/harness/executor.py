@@ -23,12 +23,16 @@ Execution modes
 ``isolate="auto"`` picks process mode whenever a timeout or ``jobs > 1``
 asks for it, and ``isolate="inline"`` never forks.  Retryable failures
 (timeout, crash, transient) are retried ``retries`` times with capped
-exponential backoff; deterministic ones (config/workload errors,
+exponential backoff (:data:`BACKOFF_BASE_S` doubling per retry, at most
+:data:`BACKOFF_CAP_S`); deterministic ones (config/workload errors,
 simulation deadlocks) fail immediately.
 
 With a cache directory configured, finished cells are persisted through
 :class:`~repro.harness.cache.ResultCache` and later campaigns resume by
-re-executing only the missing cells.
+re-executing only the missing cells.  The cache is read once per cell,
+before it runs: :func:`execute_cells` reads each distinct cell of a
+batch, and the campaign server reads at intake.  :func:`run_cell` only
+writes.
 """
 
 from __future__ import annotations
@@ -65,10 +69,19 @@ from repro.harness.faults import (
     trigger,
 )
 
+#: First retry backoff in seconds; doubles per retry.
+BACKOFF_BASE_S = 0.25
+#: Retry backoff ceiling in seconds.
+BACKOFF_CAP_S = 4.0
+
 
 @dataclass(frozen=True)
 class HarnessSettings:
-    """How a campaign's cells are executed and recovered."""
+    """How a campaign's cells are executed and recovered.
+
+    A cached cell is always reused; to recompute it, use a fresh
+    ``cache_dir``.
+    """
 
     #: Concurrent worker slots (process mode when > 1).
     jobs: int = 1
@@ -76,17 +89,10 @@ class HarnessSettings:
     cell_timeout: Optional[float] = None
     #: Re-runs granted to retryably-failed cells.
     retries: int = 2
-    #: First backoff delay in seconds; doubles per retry.
-    backoff_base: float = 0.25
-    #: Backoff ceiling in seconds.
-    backoff_cap: float = 4.0
     #: "auto" | "inline".
     isolate: str = "auto"
     #: Persistent cache root (None = no reuse across batches).
     cache_dir: Optional[str] = None
-    #: Read previously cached cells (writes happen whenever cache_dir
-    #: is set; turning this off forces recomputation).
-    resume: bool = True
     #: Programmatic fault injections (merged with $REPRO_FAULTS).
     faults: Tuple[FaultSpec, ...] = ()
     #: Run every freshly-computed cell under the verification layer
@@ -155,17 +161,19 @@ class Cell:
 
     @property
     def label(self) -> str:
-        """Human-readable cell identity for reports."""
-        return f"{self.workload}/{self.config.label}/seed{self.seed}"
+        """Human-readable cell identity for reports.  ``CoreConfig.label``
+        is only the pipeline notation, so the first 8 hex digits of the
+        key tell apart configs that differ in anything else."""
+        return (f"{self.workload}/{self.config.label}/seed{self.seed}"
+                f"#{self.key[:8]}")
 
 
 @dataclass(frozen=True)
 class CellFailure:
     """Terminal failure record for one cell (after retries)."""
 
-    workload: str
-    config_label: str
-    seed: int
+    #: The failed cell's :attr:`Cell.label`.
+    label: str
     kind: str
     message: str
     attempts: int
@@ -173,7 +181,7 @@ class CellFailure:
     def describe(self) -> str:
         """One report line."""
         return (
-            f"{self.workload}/{self.config_label}/seed{self.seed}: "
+            f"{self.label}: "
             f"{self.kind} after {self.attempts} attempt(s): {self.message}"
         )
 
@@ -196,9 +204,7 @@ class CellOutcome:
         """This outcome as a failure record (requires ``not ok``)."""
         assert self.error is not None
         return CellFailure(
-            workload=self.cell.workload,
-            config_label=self.cell.config.label,
-            seed=self.cell.seed,
+            label=self.cell.label,
             kind=type(self.error).__name__,
             message=str(self.error),
             attempts=self.attempts,
@@ -454,7 +460,11 @@ def run_cell(
     cache: Optional[ResultCache] = None,
     warm: Optional[bytes] = None,
 ) -> CellOutcome:
-    """Execute one cell with caching, isolation, watchdog and retries.
+    """Run one cell with isolation, watchdog and retries, and write its
+    result to the cache.
+
+    It never reads the cache: its callers have (:func:`execute_cells`
+    once per batch, the campaign server at intake), so the cell runs.
 
     ``warm`` is a functional-warmup snapshot with this cell's warm key
     (:func:`execute_cells` shares one across a batch); every attempt
@@ -463,11 +473,6 @@ def run_cell(
     harness = harness or default_harness()
     if cache is None and harness.cache_dir is not None:
         cache = ResultCache(harness.cache_dir)
-    key = cell.key
-    if cache is not None and harness.resume:
-        cached = cache.get(key)
-        if cached is not None:
-            return CellOutcome(cell=cell, result=cached, cached=True)
     faults = harness.all_faults()
     isolated = harness.uses_processes
     if isolated:
@@ -492,12 +497,9 @@ def run_cell(
             error = failure
             if not is_retryable(failure) or attempt == attempts:
                 break
-            backoff = min(
-                harness.backoff_cap,
-                harness.backoff_base * (2 ** (attempt - 1)),
+            time.sleep(
+                min(BACKOFF_CAP_S, BACKOFF_BASE_S * 2 ** (attempt - 1))
             )
-            if backoff > 0:
-                time.sleep(backoff)
             continue
         except KeyError as failure:
             # A raw KeyError escaping an unisolated worker (workload
@@ -505,6 +507,7 @@ def run_cell(
             error = WorkloadError(str(failure))
             break
         if cache is not None:
+            key = cell.key
             cache.put(
                 key,
                 result,
@@ -527,7 +530,9 @@ def execute_cells(
     """Execute a batch of cells, ``jobs`` at a time; never raises.
 
     Outcomes are returned in input order.  Duplicate cells (same content
-    key) are executed once and share the outcome.
+    key) are executed once and share the outcome.  With a cache
+    directory, each distinct cell is read from the cache once, here;
+    only the misses run (and :func:`run_cell` writes them).
 
     Cells missing from the cache that share a warm key
     (:meth:`~repro.core.pipeline.Simulator.warm_key`) — the same
@@ -545,13 +550,11 @@ def execute_cells(
     by_key: Dict[str, CellOutcome] = {}
     missing: List[Cell] = []
     for key, cell in unique.items():
-        cached = cache.get(key) if cache is not None and harness.resume else None
+        cached = cache.get(key) if cache is not None else None
         if cached is not None:
             by_key[key] = CellOutcome(cell=cell, result=cached, cached=True)
         else:
             missing.append(cell)
-    # the cache was read above; the cells below only write it
-    compute = harness.replace(resume=False)
     shared, alone = _plan_warmups(missing)
     if harness.jobs > 1 and len(missing) > 1:
         pool = ThreadPoolExecutor(max_workers=harness.jobs)
@@ -561,10 +564,10 @@ def execute_cells(
         # warmups take the first slots; lone cells fill the rest while
         # they run, and each warmup queues its cells when it finishes
         waves = [
-            pool.submit(_warm_then_run, pool, group, compute, cache)
+            pool.submit(_warm_then_run, pool, group, harness, cache)
             for group in shared
         ]
-        runs = [pool.submit(run_cell, cell, compute, cache) for cell in alone]
+        runs = [pool.submit(run_cell, cell, harness, cache) for cell in alone]
         for wave in waves:
             runs.extend(wave.result())
         outcomes = [run.result() for run in runs]

@@ -170,11 +170,6 @@ class DynInst:
         """Whether the instruction is a load."""
         return self.op.opclass is OpClass.LOAD
 
-    @property
-    def num_real_srcs(self) -> int:
-        """Number of true source dependences."""
-        return len(self.op.real_srcs)
-
     def describe(self) -> str:
         """A compact human-readable rendering for logs and debugging."""
         srcs = ",".join(f"r{s}" for s in self.op.srcs) or "-"

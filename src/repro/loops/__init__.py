@@ -9,7 +9,6 @@ model (mis-speculation events x useless work).
 
 from repro.loops.model import (
     Loop,
-    LoopCost,
     LoopKind,
     alpha_21264_loops,
     loops_for_config,
@@ -24,7 +23,6 @@ from repro.loops.analytical import (
 __all__ = [
     "Loop",
     "LoopKind",
-    "LoopCost",
     "alpha_21264_loops",
     "loops_for_config",
     "LoopLedger",

@@ -87,37 +87,6 @@ class Loop:
         return self.loop_delay + self.recovery_time
 
 
-@dataclass
-class LoopCost:
-    """The §1 cost model for one loop over a run.
-
-    The number of useless-work events is ``occurrences x
-    misspeculation_rate``; total cost scales with the per-event impact.
-    """
-
-    loop: Loop
-    occurrences: int = 0
-    misspeculations: int = 0
-    useless_work_instructions: int = 0
-
-    @property
-    def misspeculation_rate(self) -> float:
-        """Fraction of loop-generating instructions that mis-speculated."""
-        if self.occurrences == 0:
-            return 0.0
-        return self.misspeculations / self.occurrences
-
-    @property
-    def events(self) -> int:
-        """Number of useless-work events (mis-speculations)."""
-        return self.misspeculations
-
-    @property
-    def min_cycles_lost(self) -> int:
-        """Lower-bound cycles lost: events x minimum per-event impact."""
-        return self.misspeculations * self.loop.min_misspeculation_impact
-
-
 def loops_for_config(config: "CoreConfig") -> List[Loop]:
     """The loop inventory of a simulated core (paper Figures 1-2).
 

@@ -98,12 +98,6 @@ class AttributionEntry:
             return 0.0
         return self.misspeculations / self.occurrences
 
-    def cost_per_event(self) -> float:
-        """Measured average cycles lost per mis-speculation."""
-        if self.misspeculations == 0:
-            return 0.0
-        return self.lost_cycles / self.misspeculations
-
 
 @dataclass
 class PhaseSlice:

@@ -19,7 +19,7 @@ that flow through existing persistence keep the observability data.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.obs.bus import EventBus
 from repro.obs.events import (
@@ -438,13 +438,3 @@ class MetricsCollector:
         )
         check("reissues", reissues, stats.total_reissues)
         return problems
-
-
-def merge_snapshots(snapshots: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
-    """Sum numeric values across snapshots (campaign-level rollup)."""
-    merged: Dict[str, Any] = {}
-    for snapshot in snapshots:
-        for key, value in snapshot.items():
-            if isinstance(value, (int, float)):
-                merged[key] = merged.get(key, 0) + value
-    return merged

@@ -29,13 +29,11 @@ from repro.perfhist.detectors import (
     register_detector,
 )
 from repro.perfhist.history import (
-    DEFAULT_HISTORY_NAME,
     HISTORY_SCHEMA,
     Epoch,
     PerfHistory,
     Profile,
     commit_of,
-    default_history_path,
 )
 from repro.perfhist.check import (
     CheckReport,
@@ -68,13 +66,11 @@ __all__ = [
     "available_detectors",
     "get_detector",
     "register_detector",
-    "DEFAULT_HISTORY_NAME",
     "HISTORY_SCHEMA",
     "Epoch",
     "PerfHistory",
     "Profile",
     "commit_of",
-    "default_history_path",
     "CheckReport",
     "Finding",
     "attribution_shift",

@@ -33,25 +33,14 @@ from repro.errors import ConfigError
 
 __all__ = [
     "HISTORY_SCHEMA",
-    "DEFAULT_HISTORY_NAME",
     "Profile",
     "Epoch",
     "PerfHistory",
-    "default_history_path",
     "commit_of",
 ]
 
 #: Bump when the epoch layout changes incompatibly.
 HISTORY_SCHEMA = 1
-
-#: The committed history file at the repository root.
-DEFAULT_HISTORY_NAME = "PERF_HISTORY.jsonl"
-
-
-def default_history_path(root: Union[str, Path, None] = None) -> Path:
-    """The history file under ``root`` (default: current directory)."""
-    base = Path(root) if root is not None else Path(".")
-    return base / DEFAULT_HISTORY_NAME
 
 
 @dataclass

@@ -42,7 +42,6 @@ from repro.scenarios.trace import (
     TraceReplayEngine,
     TraceSpec,
     capture_trace,
-    read_trace,
     write_trace,
 )
 
@@ -66,7 +65,6 @@ __all__ = [
     "TraceSpec",
     "TRACE_VERSION",
     "capture_trace",
-    "read_trace",
     "write_trace",
     "workload_catalog",
     "workload_signature",

@@ -331,10 +331,6 @@ class PhaseSchedule:
                 break
         return index, lap * len(self.phases) + index
 
-    def profile_at(self, position: int) -> WorkloadProfile:
-        """The interpolated profile active at a stream position."""
-        return self.phases[self.segment_at(position)[0]].profile
-
     def signature(self) -> str:
         """Content digest over every phase's full parameterisation."""
         from repro.scenarios.base import content_digest

@@ -190,11 +190,6 @@ def capture_trace(
     )
 
 
-def read_trace(path: str) -> "TraceReplayEngine":
-    """Load a trace into a replay engine (header validated)."""
-    return TraceReplayEngine(path)
-
-
 class TraceReplayEngine:
     """Replays a captured uop trace as a deterministic workload engine.
 

@@ -9,9 +9,10 @@ The server appends one record per job-lifecycle transition::
     {"rec": "drain",    "t": 99.0}
 
 Writes are flushed per record (and optionally fsynced), so after a
-``kill -9`` the journal holds every accepted job; replay re-queues the
-accepted-but-not-done set and a resumed server finishes them into the
-content-addressed result cache.  A torn final line (the crash landed
+``kill -9`` the journal holds every accepted job.  A resumed server
+reads the result cache once for each accepted-but-not-done job: a job
+whose result is already there completes at once, and the rest are
+re-queued and finish into the cache.  A torn final line (the crash landed
 mid-write) parses as garbage and is skipped — by construction it can
 only be the very last record, and an ``accepted`` record that never
 fully hit the disk was never acknowledged to a client either.
@@ -94,9 +95,9 @@ def pending_jobs(path: Union[str, Path]) -> List[Dict[str, Any]]:
 
     This is the at-least-once replay set: a job that was accepted (and
     acknowledged to a client) but not completed before the crash.  Jobs
-    that were running count as pending — their run died with the server
-    and the content-addressed cache makes re-execution free if the
-    result actually landed before the crash.
+    that were running count as pending — their run died with the server,
+    and if the result landed in the cache before the crash, the resumed
+    server completes the job from the cache without running it.
     """
     accepted: Dict[str, Dict[str, Any]] = {}
     order: List[str] = []

@@ -5,12 +5,16 @@ Architecture (mirroring the SMTcheck profiling-server shape: listener ->
 job queue -> core scheduler -> storage)::
 
     TCP listener (JSON lines)
+        -> ResultCache read (a hit is answered at once)
         -> dedup (content-addressed cell keys; concurrent identical
            submits coalesce onto one in-flight job)
         -> one bounded FIFO job queue with 429-style load shedding
         -> worker threads, one job each
         -> repro.harness.run_cell (watchdog, classified retries)
-           -> shared ResultCache (storage)
+           -> ResultCache write
+
+The cache is read once per submit, at intake, and once per replayed
+job, at replay; ``run_cell`` only writes it.
 
 Where a cell runs: serve always arms the harness watchdog, at
 ``--cell-timeout`` if given and otherwise at :data:`CELL_TIMEOUT_S`.  An
@@ -25,7 +29,8 @@ Robustness properties, each tested by the chaos suite:
 
 * **Run once, idempotent.**  A worker runs each job once through
   ``run_cell``, whose watchdog and retries are the only timer and retry
-  loop; a replayed job rewrites the same content-addressed bytes.
+  loop; a replayed job whose result is already cached completes at
+  replay without running.
 * **Crash-safe.**  Every accepted job is journaled before it is
   acknowledged; ``--resume`` replays accepted-but-not-done jobs after a
   ``kill -9``.
@@ -296,7 +301,9 @@ class CampaignServer:
         return f"j-{self._seq}"
 
     async def _restore_job(self, record: Dict[str, Any]) -> None:
-        """Re-queue one journaled accepted-but-unfinished job."""
+        """Re-queue one journaled accepted-but-unfinished job, or
+        complete it at once if its result is already cached (the run
+        finished, but its ``done`` record was lost with the process)."""
         job_id = record.get("job", self._next_job_id())
         # Keep fresh ids clear of replayed ones.
         try:
@@ -312,11 +319,17 @@ class CampaignServer:
                     "reason": f"unreplayable: {error}",
                 })
             return
-        # Replayed jobs bypass QUEUE_DEPTH: a previous server accepted them.
         job = Job(id=str(job_id), cell=cell, spec=dict(record["cell"]))
+        self._counters["resumed"].inc()
+        cached = self.cache.get(job.key) if self.cache is not None else None
+        if cached is not None:
+            self._counters["cache_hits"].inc()
+            self._complete(job, CellOutcome(cell=cell, result=cached,
+                                            cached=True))
+            return
+        # Replayed jobs bypass QUEUE_DEPTH: a previous server accepted them.
         self.inflight[job.key] = job
         self.queue.put_nowait(job)
-        self._counters["resumed"].inc()
 
     # -- connection handling ----------------------------------------------
 
@@ -405,9 +418,7 @@ class CampaignServer:
         key = cell.key
 
         # Storage fast path: the cache already holds this cell.
-        cached = (self.cache.get(key)
-                  if self.cache is not None and self.harness.resume
-                  else None)
+        cached = self.cache.get(key) if self.cache is not None else None
         if cached is not None:
             outcome = CellOutcome(cell=cell, result=cached, cached=True)
             self._counters["cache_hits"].inc()

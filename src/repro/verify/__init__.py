@@ -18,8 +18,8 @@ plus a **workload fuzzer** with a delta-debugging shrinker
 configurations and profiles and writes minimal JSON reproducers.
 
 Entry points: ``repro verify`` on the command line,
-:class:`Verifier` / :func:`verified_simulate` in code, and
-``HarnessSettings(verify=True)`` to self-check every harness cell.
+:class:`Verifier` in code (``simulate(..., verifier=Verifier())``),
+and ``HarnessSettings(verify=True)`` to self-check every harness cell.
 """
 
 from repro.verify.differential import (
@@ -62,13 +62,11 @@ from repro.verify.runner import (
     SweepEntry,
     Verifier,
     dra_variant,
-    verified_simulate,
     verify_presets,
 )
 
 __all__ = [
     "Verifier",
-    "verified_simulate",
     "verify_presets",
     "SweepEntry",
     "dra_variant",

@@ -165,19 +165,6 @@ class Verifier:
         )
 
 
-def verified_simulate(workload, config=None, **kwargs):
-    """Run :func:`repro.core.simulate` under a fresh :class:`Verifier`.
-
-    Returns ``(result, verifier)``; raises nothing extra — inspect
-    ``verifier.violations`` or call ``verifier.raise_if_failed()``.
-    """
-    from repro.core.simulator import simulate
-
-    verifier = Verifier()
-    result = simulate(workload, config, verifier=verifier, **kwargs)
-    return result, verifier
-
-
 @dataclass
 class SweepEntry:
     """One preset/config cell of the verification sweep."""

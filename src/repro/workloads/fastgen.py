@@ -27,10 +27,11 @@ identical trivially.  The round-robin destination pick consumes no
 randomness and is collapsed into two precomputed ``cursor -> (reg,
 next_cursor)`` tables.
 
-Equivalence is enforced by tests (``tests/test_backend.py`` compares
-long streams element-wise and the final RNG state) and transitively by
-every golden pin and differential law run against the ``optimized``
-kernel backend, which is the only consumer of this class.
+Equivalence is enforced by tests (``tests/test_backend.py::
+TestFastGenerator`` compares 2,000-op streams element-wise and the final
+RNG state for every shipped profile, two seeds and two threads) and
+transitively by every golden pin and differential law run against the
+``optimized`` kernel backend, which is the only consumer of this class.
 """
 
 from __future__ import annotations

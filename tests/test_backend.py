@@ -3,7 +3,7 @@
 The heavy equivalence artillery lives elsewhere (golden pins and
 differential laws parametrized over backends, the fuzz smoke, the
 hypothesis property in ``test_pipeline.py``); this file covers the
-backend subsystem itself: registry semantics, spec parsing, the
+backend subsystem itself: the ``BACKENDS`` mapping, spec parsing, the
 exactness gate, sampled-mode geometry and its declared error bounds,
 and the planted-drift self-test of the cross-check.
 """
@@ -11,6 +11,7 @@ and the planted-drift self-test of the cross-check.
 import pytest
 
 from repro.core.backend import (
+    BACKENDS,
     DEFAULT_BACKEND,
     KernelBackend,
     OptimizedBackend,
@@ -19,16 +20,22 @@ from repro.core.backend import (
     SampledBackend,
     SamplingReport,
     SamplingWindow,
-    available_backends,
-    get_backend,
     parse_backend,
-    register_backend,
 )
 from repro.core.config import CoreConfig, LoadRecovery, PortConfig
 from repro.core.pipeline import Simulator
 from repro.core.simulator import simulate
 from repro.errors import ConfigError
-from repro.workloads import workload_profiles
+from repro.workloads import (
+    SCENARIO_PROFILES,
+    SMOKE_PROFILES,
+    SPEC95_PROFILES,
+    workload_profiles,
+)
+from repro.workloads.fastgen import FastSyntheticTraceGenerator
+from repro.workloads.generator import SyntheticTraceGenerator
+
+ALL_PROFILES = {**SPEC95_PROFILES, **SCENARIO_PROFILES, **SMOKE_PROFILES}
 
 
 # ---------------------------------------------------------------------------
@@ -37,29 +44,24 @@ from repro.workloads import workload_profiles
 
 
 class TestRegistry:
+    """``BACKENDS``, the fixed name -> backend mapping."""
+
     def test_shipped_backends_are_registered(self):
-        names = available_backends()
-        assert "reference" in names
-        assert "optimized" in names
-        assert "sampled" in names
+        assert tuple(BACKENDS) == ("reference", "optimized", "sampled")
+        assert all(name == kernel.name for name, kernel in BACKENDS.items())
 
     def test_exactness_declarations(self):
-        assert get_backend("reference").exact
-        assert get_backend("optimized").exact
-        assert not get_backend("sampled").exact
+        assert BACKENDS["reference"].exact
+        assert BACKENDS["optimized"].exact
+        assert not BACKENDS["sampled"].exact
 
     def test_get_unknown_backend_raises(self):
-        with pytest.raises(ConfigError, match="unknown kernel backend"):
-            get_backend("warp-drive")
-
-    def test_duplicate_registration_refused(self):
-        with pytest.raises(ConfigError, match="already registered"):
-            register_backend(ReferenceBackend())
-
-    def test_replace_registration_allowed(self):
-        # idempotent re-registration with replace=True keeps the name
-        register_backend(ReferenceBackend(), replace=True)
-        assert get_backend("reference").exact
+        # the refusal lists every name BACKENDS holds
+        with pytest.raises(ConfigError, match=(
+            r"unknown kernel backend 'warp-drive' "
+            r"\(available: reference, optimized, sampled\)"
+        )):
+            parse_backend("warp-drive")
 
 
 class TestParseBackend:
@@ -104,7 +106,7 @@ class TestDefaultBackend:
 
     def test_default_is_an_exact_kernel_other_than_the_truth(self):
         # exact: `loopsim verify` runs the default under the verifier
-        default = get_backend(DEFAULT_BACKEND)
+        default = BACKENDS[DEFAULT_BACKEND]
         assert default.exact
         assert default.name != "reference"
 
@@ -224,7 +226,7 @@ class TestBuildRun:
     def test_exact_backends_agree_bit_for_bit(self):
         streams = {}
         for name in ("reference", "optimized"):
-            kernel = get_backend(name)
+            kernel = BACKENDS[name]
             sim = kernel.build(
                 CoreConfig.base(3), workload_profiles("int_test"), seed=3
             )
@@ -269,6 +271,31 @@ class TestBuildRun:
         sim.functional_warmup(1000)
         sim.run(200, warmup=0)
         assert len(seen) == len(recorder.stream) > 0
+
+
+class TestFastGenerator:
+    """The optimized kernel's generator is the readable one, op for op:
+    the same ``next_op()`` stream and the same RNG state after it."""
+
+    OPS = 2_000
+
+    @pytest.mark.parametrize("name", sorted(ALL_PROFILES))
+    def test_stream_and_rng_state_match_the_readable_generator(self, name):
+        profile = ALL_PROFILES[name]
+        for seed in (0, 7):
+            for thread in (0, 1):
+                readable = SyntheticTraceGenerator(profile, seed, thread)
+                fast = FastSyntheticTraceGenerator(profile, seed, thread)
+                where = f"{name} seed {seed} thread {thread}"
+                assert [readable.next_op() for _ in range(self.OPS)] == \
+                    [fast.next_op() for _ in range(self.OPS)], where
+                assert readable._rng.getstate() == fast._rng.getstate(), where
+                # the oracle's rebuild: clone() + fast_forward(emitted)
+                rebuilt = fast.clone()
+                assert type(rebuilt) is FastSyntheticTraceGenerator
+                rebuilt.fast_forward(fast.emitted)
+                assert [rebuilt.next_op() for _ in range(100)] == \
+                    [fast.next_op() for _ in range(100)], where
 
 
 # ---------------------------------------------------------------------------

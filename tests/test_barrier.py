@@ -1,7 +1,7 @@
 """Tests for the memory-barrier loop (§1's stall-managed loose loop)."""
 
 from repro.core import CoreConfig
-from repro.core.backend import available_backends, get_backend
+from repro.core.backend import BACKENDS
 from repro.isa import OpClass
 from repro.loops import loops_for_config
 from repro.workloads.mix import InstructionMix
@@ -37,13 +37,11 @@ def barrier_profile(barrier_weight: float) -> WorkloadProfile:
 
 #: Every exact kernel: the barrier stall is a rename-stage exit that the
 #: compiled loop implements on its own.
-EXACT_BACKENDS = [
-    name for name in available_backends() if get_backend(name).exact
-]
+EXACT_BACKENDS = [name for name, kernel in BACKENDS.items() if kernel.exact]
 
 
 def run(barrier_weight: float, backend: str):
-    sim = get_backend(backend).build(
+    sim = BACKENDS[backend].build(
         CoreConfig.base(), [barrier_profile(barrier_weight)], seed=0
     )
     sim.run(2000)

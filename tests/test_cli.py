@@ -31,6 +31,25 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "swim", "--rf", "4"])
 
+    def test_explore_backend_takes_one_spec_per_rung(self, monkeypatch):
+        import repro.explore as explore
+
+        class Captured(Exception):
+            pass
+
+        def capture(space, halving, **kwargs):
+            raise Captured(halving)
+
+        monkeypatch.setattr(explore, "run_exploration", capture)
+        with pytest.raises(Captured) as caught:
+            main(["explore", "--backend", "sampled,optimized"])
+        halving = caught.value.args[0]
+        assert halving.backend == "sampled,optimized"
+        assert [halving.rung_backend(k) for k in range(3)] == \
+            ["sampled", "optimized", "optimized"]
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["explore", "--rung-backends", "sampled"])
+
 
 class TestCommands:
     def test_workloads_lists_everything(self, capsys):
@@ -168,24 +187,22 @@ class TestErrorHandling:
 
 
 def _cheap_campaigns(monkeypatch):
-    """Shrink the CLI's warmup and retry backoff, so a campaign of every
-    ablation study stays cheap."""
+    """Shrink the CLI's warmup, so a campaign of every ablation study
+    stays cheap (tests also take ``no_backoff``)."""
     import dataclasses
 
     import repro.__main__ as cli
 
-    settings, harness = cli._settings, cli._harness
+    settings = cli._settings
     monkeypatch.setattr(
         cli, "_settings",
         lambda args: dataclasses.replace(
             settings(args), warmup=2_000, detailed_warmup=80
         ),
     )
-    monkeypatch.setattr(
-        cli, "_harness", lambda args: harness(args).replace(backoff_base=0.0)
-    )
 
 
+@pytest.mark.usefixtures("no_backoff")
 class TestAblations:
     def test_prints_all_ten_studies(self, capsys, monkeypatch):
         _cheap_campaigns(monkeypatch)
@@ -208,4 +225,9 @@ class TestAblations:
         assert out.count("Ablation:") == 10
         assert "n/a" in out
         assert out.count("cell(s) failed") == 1
-        assert "CellCrashError" in out
+        assert "30 cell(s) failed" in out
+        # each failed cell is named apart, even where configs share a
+        # pipeline label (the label carries a key suffix)
+        labels = [line.split(": ", 1)[0].strip()
+                  for line in out.splitlines() if "CellCrashError" in line]
+        assert len(labels) == len(set(labels)) == 30

@@ -1,5 +1,6 @@
 """Tests for the design-space exploration subsystem (repro.explore)."""
 
+import dataclasses
 import json
 
 import pytest
@@ -361,6 +362,16 @@ class TestScheduler:
         # the answer degrades to the funded rung's survivors
         assert result.final_scores
         assert result.spent_instructions <= budgeted.budget
+
+    def test_backend_takes_one_spec_per_rung(self):
+        # sampled triage at rung 0; the last spec repeats for the rest
+        settings = dataclasses.replace(
+            HalvingSettings.quick(), backend="sampled,optimized")
+        result = run_search(smoke_space().grid(), ("compress",), settings,
+                            INLINE)
+        assert not result.failures
+        assert [r.backend for r in result.rungs] == ["sampled", "optimized"]
+        assert settings.rung_backend(5) == "optimized"
 
     def test_duplicate_labels_rejected(self):
         candidates = smoke_space().grid()

@@ -15,7 +15,7 @@ import os
 
 import pytest
 
-from repro.core.backend import available_backends, get_backend
+from repro.core.backend import BACKENDS
 from repro.core.config import CoreConfig
 from repro.core.simulator import simulate
 from repro.perfhist.profile import golden_cells
@@ -29,9 +29,7 @@ with open(GOLDEN_PATH, "r", encoding="utf-8") as _handle:
 
 #: Every exact backend must reproduce the pins bit for bit; inexact
 #: backends (sampled) are held to their error bounds elsewhere.
-EXACT_BACKENDS = [
-    name for name in available_backends() if get_backend(name).exact
-]
+EXACT_BACKENDS = [name for name, kernel in BACKENDS.items() if kernel.exact]
 
 
 #: label -> CoreConfig, owned by repro.perfhist.profile (the same

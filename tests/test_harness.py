@@ -108,7 +108,7 @@ class TestResultCache:
 
     def test_unexpected_error_in_load_propagates(self, tmp_path):
         # the narrowed except must not swallow arbitrary exceptions:
-        # a KeyboardInterrupt-ish programming error escapes _load
+        # a KeyboardInterrupt-ish programming error escapes get
         cache = ResultCache(tmp_path)
         key = "cf" + "0" * 62
         path = cache.path(key)
@@ -134,26 +134,6 @@ class TestResultCache:
         path.parent.mkdir(parents=True)
         path.write_bytes(pickle.dumps({"version": -1, "result": 42}))
         assert cache.get(key) is None
-
-    def test_contains_validates_like_get(self, tmp_path):
-        # __contains__ must not report corrupt or stale-version entries
-        # as present (a resume would then skip recomputing them), and
-        # its probes count in the hit/miss stats like get's do.
-        cache = ResultCache(tmp_path)
-        good, stale, corrupt, absent = (
-            tag + "0" * 62 for tag in ("aa", "bb", "cc", "dd"))
-        cache.put(good, {"ipc": 1.0})
-        for key, payload in ((stale, pickle.dumps({"version": -1})),
-                             (corrupt, b"garbage")):
-            path = cache.path(key)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_bytes(payload)
-        assert good in cache
-        assert stale not in cache
-        assert corrupt not in cache
-        assert absent not in cache
-        assert (cache.hits, cache.misses) == (1, 3)
-        assert not cache.path(corrupt).exists()  # dropped, like get
 
     def test_remove_corrupt_spares_a_racing_rewrite(self, tmp_path):
         # The corrupt-entry unlink races concurrent put()s: once another
@@ -184,22 +164,22 @@ class TestResultCache:
         ResultCache._remove_corrupt(path2, None)
 
 
+@pytest.mark.usefixtures("no_backoff")
 class TestCacheCorruptionRecovery:
     """A damaged entry reads as a miss exactly once, then the cell is
     recomputed and re-cached (the ISSUE's corruption-recovery triad)."""
 
     def prime(self, tmp_path):
-        harness = HarnessSettings(isolate="inline", backoff_base=0.0,
-                                  cache_dir=str(tmp_path))
+        harness = HarnessSettings(isolate="inline", cache_dir=str(tmp_path))
         cell = tiny_cell()
         first = run_cell(cell, harness)
         assert first.ok and not first.cached
         return harness, cell, ResultCache(tmp_path)
 
     def recheck(self, harness, cell, cache):
-        recomputed = run_cell(cell, harness)
+        [recomputed] = execute_cells([cell], harness)
         assert recomputed.ok and not recomputed.cached
-        again = run_cell(cell, harness)
+        [again] = execute_cells([cell], harness)
         assert again.ok and again.cached
         assert again.result.ipc == recomputed.result.ipc
 
@@ -270,9 +250,9 @@ class TestFaultSpecs:
         with pytest.raises(ConfigError):
             FaultSpec("slow", delay_s=-1.0)
 
-    def test_slow_fault_delays_then_succeeds(self):
+    def test_slow_fault_delays_then_succeeds(self, no_backoff):
         harness = HarnessSettings(
-            backoff_base=0.0, isolate="inline",
+            isolate="inline",
             faults=(FaultSpec("slow", "m88ksim", attempts=1, delay_s=0.2),),
         )
         started = time.monotonic()
@@ -292,11 +272,11 @@ class TestFaultSpecs:
         faults_mod.trigger(FaultSpec("slow", delay_s=1e9), isolated=False)
         assert naps == [faults_mod.SLOW_DELAY_CAP]
 
-    def test_disconnect_is_a_worker_noop(self):
+    def test_disconnect_is_a_worker_noop(self, no_backoff):
         # disconnect is a service-level kind: the executor filters it
         # out (WORKER_KINDS) and the cell runs untouched.
         harness = HarnessSettings(
-            backoff_base=0.0, isolate="inline",
+            isolate="inline",
             faults=(FaultSpec("disconnect", attempts=99),),
         )
         outcome = run_cell(tiny_cell(), harness)
@@ -305,18 +285,18 @@ class TestFaultSpecs:
 
 
 class TestRetry:
-    def test_transient_fault_retries_to_success(self):
+    def test_transient_fault_retries_to_success(self, no_backoff):
         harness = HarnessSettings(
-            backoff_base=0.0, isolate="inline",
+            isolate="inline",
             faults=(FaultSpec("transient", "m88ksim", attempts=1),),
         )
         outcome = run_cell(tiny_cell(), harness)
         assert outcome.ok
         assert outcome.attempts == 2
 
-    def test_persistent_fault_exhausts_retries(self):
+    def test_persistent_fault_exhausts_retries(self, no_backoff):
         harness = HarnessSettings(
-            retries=2, backoff_base=0.0, isolate="inline",
+            retries=2, isolate="inline",
             faults=(FaultSpec("transient", "m88ksim", attempts=99),),
         )
         outcome = run_cell(tiny_cell(), harness)
@@ -349,20 +329,20 @@ class TestProcessIsolation:
         assert inline.ok and isolated.ok
         assert isolated.result.ipc == inline.result.ipc
 
-    def test_hang_timeout_retry_success(self):
+    def test_hang_timeout_retry_success(self, no_backoff):
         # Attempt 1 hangs and is killed by the watchdog; attempt 2 runs
         # clean: the exact recovery sequence the harness exists for.
         harness = HarnessSettings(
-            cell_timeout=2.0, retries=1, backoff_base=0.0,
+            cell_timeout=2.0, retries=1,
             faults=(FaultSpec("hang", "m88ksim", attempts=1),),
         )
         outcome = run_cell(tiny_cell(), harness)
         assert outcome.ok
         assert outcome.attempts == 2
 
-    def test_persistent_hang_reports_timeout(self):
+    def test_persistent_hang_reports_timeout(self, no_backoff):
         harness = HarnessSettings(
-            cell_timeout=0.5, retries=1, backoff_base=0.0,
+            cell_timeout=0.5, retries=1,
             faults=(FaultSpec("hang", "m88ksim", attempts=99),),
         )
         outcome = run_cell(tiny_cell(), harness)
@@ -370,9 +350,9 @@ class TestProcessIsolation:
         assert isinstance(outcome.error, CellTimeoutError)
         assert outcome.attempts == 2
 
-    def test_crash_reports_exit_code(self):
+    def test_crash_reports_exit_code(self, no_backoff):
         harness = HarnessSettings(
-            cell_timeout=60.0, retries=0, backoff_base=0.0,
+            cell_timeout=60.0, retries=0,
             faults=(FaultSpec("crash", "m88ksim", attempts=99),),
         )
         outcome = run_cell(tiny_cell(), harness)
@@ -519,6 +499,7 @@ class TestWorkerSpawning:
         assert not _running(worker), "forked worker outlived its parent"
 
 
+@pytest.mark.usefixtures("no_backoff")
 class TestCampaignRecovery:
     """The ISSUE acceptance scenario: one hang + one crash, then resume."""
 
@@ -530,7 +511,7 @@ class TestCampaignRecovery:
 
     def harness(self, cache_dir, faults=()):
         return HarnessSettings(
-            cell_timeout=2.0, retries=1, backoff_base=0.0,
+            cell_timeout=2.0, retries=1,
             cache_dir=str(cache_dir), faults=faults,
         )
 
@@ -544,8 +525,8 @@ class TestCampaignRecovery:
         assert set(
             workload for workload, _ in campaign.points
         ) == {"m88ksim", "compress"}
-        assert {f.workload for f in campaign.failures} == {"swim", "gcc"}
-        kinds = {f.workload: f.kind for f in campaign.failures}
+        kinds = {f.label.split("/")[0]: f.kind for f in campaign.failures}
+        assert set(kinds) == {"swim", "gcc"}
         assert kinds["swim"] == "CellTimeoutError"
         assert kinds["gcc"] == "CellCrashError"
         assert all(f.attempts == 2 for f in campaign.failures)
@@ -567,11 +548,14 @@ class TestCampaignRecovery:
         assert not outcomes["gcc"].cached
 
     def test_resume_disabled_recomputes(self, tmp_path):
+        # execute_cells reads the cache (what --resume reuses); run_cell
+        # never does, so it recomputes a cached cell and rewrites it
         harness = self.harness(tmp_path)
-        first = run_cell(tiny_cell(), harness)
-        again = run_cell(tiny_cell(), harness)
-        forced = run_cell(tiny_cell(), harness.replace(resume=False))
+        [first] = execute_cells([tiny_cell()], harness)
+        [again] = execute_cells([tiny_cell()], harness)
+        forced = run_cell(tiny_cell(), harness)
         assert not first.cached and again.cached and not forced.cached
+        assert forced.result.stats == again.result.stats
 
 
 class TestRunConfigIntegration:
@@ -618,11 +602,11 @@ class TestRunConfigIntegration:
 
 
 class TestGracefulFigures:
-    def test_figure4_marks_failed_cells(self):
+    def test_figure4_marks_failed_cells(self, no_backoff):
         from repro.experiments import run_figure4
 
         harness = HarnessSettings(
-            retries=0, backoff_base=0.0, isolate="inline",
+            retries=0, isolate="inline",
             faults=(FaultSpec("crash", "m88ksim", "Base:9_9", attempts=99),),
         )
         result = run_figure4(TINY, workloads=("m88ksim",), harness=harness)

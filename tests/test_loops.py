@@ -5,8 +5,8 @@ import pytest
 from repro.core import CoreConfig
 from repro.loops import (
     Loop,
-    LoopCost,
     LoopKind,
+    LoopLedgerEntry,
     alpha_21264_loops,
     loops_for_config,
 )
@@ -81,13 +81,18 @@ class TestConfigInventory:
 
 
 class TestLoopCost:
+    """The §1 cost model's row, :class:`LoopLedgerEntry`."""
+
     def test_event_count_is_occurrences_times_rate(self):
         loop = Loop("x", LoopKind.DATA, "a", "b", length=5, feedback_delay=3)
-        cost = LoopCost(loop=loop, occurrences=1000, misspeculations=50)
-        assert cost.misspeculation_rate == pytest.approx(0.05)
-        assert cost.events == 50
-        assert cost.min_cycles_lost == 50 * 8
+        entry = LoopLedgerEntry(loop=loop, occurrences=1000,
+                                misspeculations=50, min_cycles_lost=50 * 8)
+        assert entry.misspeculation_rate == pytest.approx(0.05)
+        assert entry.occurrences * entry.misspeculation_rate == pytest.approx(
+            entry.misspeculations)
 
     def test_idle_loop_rate_is_zero(self):
         loop = Loop("x", LoopKind.DATA, "a", "b", length=1, feedback_delay=1)
-        assert LoopCost(loop=loop).misspeculation_rate == 0.0
+        entry = LoopLedgerEntry(loop=loop, occurrences=0, misspeculations=0,
+                                min_cycles_lost=0)
+        assert entry.misspeculation_rate == 0.0

