@@ -12,7 +12,6 @@ Subcommands::
     loopsim trace swim -n 24               pipeview-style timeline
     loopsim trace capture swim -o t.gz     capture a replayable uop trace
     loopsim run trace:t.gz                 ... and simulate from it
-    loopsim run swim@bursty:2048           phase-varying dynamic workload
     loopsim workloads [--json]             list every workload + scenario
     loopsim verify                         self-checking preset sweep
     loopsim verify --differential          cross-config consistency laws
@@ -29,9 +28,10 @@ Subcommands::
 Figure and ablation campaigns run on the fault-tolerant harness
 (:mod:`repro.harness`): ``--jobs N`` runs cells in parallel worker
 subprocesses, ``--cell-timeout S`` arms the hang watchdog, and
-``--resume`` / ``--cache-dir DIR`` persist finished cells so an
-interrupted campaign re-executes only what is missing.  Failed cells
-render as ``n/a`` plus a failure report instead of aborting the figure.
+``--cache-dir DIR`` persists finished cells so an interrupted campaign
+re-run with the same ``DIR`` re-executes only what is missing.  Failed
+cells render as ``n/a`` plus a failure report instead of aborting the
+figure.
 """
 
 from __future__ import annotations
@@ -64,16 +64,15 @@ from repro.workloads import ALL_WORKLOADS, SMOKE_WORKLOADS
 
 #: Names suggested in help text for single-run subcommands: the paper's
 #: 13 workloads plus the CI smoke workloads.  Not an argparse ``choices``
-#: list — scenario names (``trace:<path>``, ``base@pattern``, scenario
-#: families) are open-ended syntax resolved by
+#: list — scenario names (``trace:<path>``, scenario families) are
+#: open-ended syntax resolved by
 #: :func:`repro.workloads.workload_profiles`, which raises a
 #: :class:`~repro.errors.WorkloadError` (exit 2) for unknown names.
 RUNNABLE_WORKLOADS = ALL_WORKLOADS + SMOKE_WORKLOADS
 
 _WORKLOAD_HELP = (
     "workload name: a paper/smoke workload, a scenario family, "
-    "trace:<path>, or <base>@<pattern>[:<period>] "
-    "(see `loopsim workloads`)"
+    "or trace:<path> (see `loopsim workloads`)"
 )
 
 
@@ -87,13 +86,10 @@ def _settings(args: argparse.Namespace) -> ExperimentSettings:
 
 def _harness(args: argparse.Namespace) -> HarnessSettings:
     """Fault-tolerance settings for campaign subcommands."""
-    cache_dir = getattr(args, "cache_dir", None)
-    if getattr(args, "resume", False) and not cache_dir:
-        cache_dir = str(default_cache_dir())
     return HarnessSettings(
         jobs=getattr(args, "jobs", 1),
         cell_timeout=getattr(args, "cell_timeout", None),
-        cache_dir=cache_dir,
+        cache_dir=getattr(args, "cache_dir", None),
         verify=getattr(args, "verify", False),
     )
 
@@ -132,15 +128,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
              "killed, retried, and reported",
     )
     parser.add_argument(
-        "--resume", action="store_true",
-        help="reuse cached cells from an earlier (possibly interrupted) "
-             "run; only missing cells are re-executed",
-    )
-    parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
-        help="persistent result cache location (implies caching; "
-             "default with --resume: $REPRO_CACHE_DIR or "
-             "~/.cache/loopsim)",
+        help="persistent result cache: cells found in DIR are reused, "
+             "so re-running an interrupted campaign with the same DIR "
+             "executes only the missing cells",
     )
     parser.add_argument(
         "--verify", action="store_true",
@@ -561,11 +552,6 @@ def _cmd_workloads(args: argparse.Namespace) -> int:
             threads = f"x{row['threads']}" if row["threads"] > 1 else "  "
             print(f"  {row['name']:{width}s} {threads} {row['description']}")
         print()
-    print("dynamic phase patterns (<workload>@<pattern>[:period], "
-          f"default period {catalog['patterns'][0]['default_period']} ops):")
-    for pattern in catalog["patterns"]:
-        print(f"  {pattern['name']:{width}s}    {pattern['description']}")
-    print()
     print(f"trace replay: {catalog['trace']['syntax']} — "
           f"{catalog['trace']['description']}")
     return 0
@@ -752,8 +738,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     workloads_parser = sub.add_parser(
         "workloads",
-        help="list every workload, scenario family, phase pattern, and "
-             "the trace-replay syntax",
+        help="list every workload, scenario family, and the "
+             "trace-replay syntax",
     )
     workloads_parser.add_argument(
         "--json", action="store_true",
@@ -889,10 +875,6 @@ def build_parser() -> argparse.ArgumentParser:
     explore_parser.add_argument(
         "--cell-timeout", type=float, default=None, metavar="SECONDS",
         help="wall-clock budget per simulation cell",
-    )
-    explore_parser.add_argument(
-        "--resume", action="store_true",
-        help="reuse cached cells from an earlier run",
     )
     explore_parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",

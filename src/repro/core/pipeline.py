@@ -66,7 +66,6 @@ from repro.obs.events import (
     FetchEvent,
     LoadResolvedEvent,
     OperandEvent,
-    PhaseEvent,
     ReissueEvent,
     RenameEvent,
     RetireEvent,
@@ -233,9 +232,9 @@ class Simulator:
         self.sampling_report = None
         self.threads: List[_ThreadState] = []
         for tid, profile in enumerate(profiles):
-            # duck-typed engine dispatch: scenario entries (trace replay,
-            # dynamic schedules) carry build_engine; plain profiles keep
-            # the historical generator path bit-for-bit
+            # duck-typed engine dispatch: trace-replay specs carry
+            # build_engine; plain profiles keep the historical generator
+            # path bit-for-bit
             if hasattr(profile, "build_engine"):
                 generator = profile.build_engine(
                     seed=seed,
@@ -286,24 +285,6 @@ class Simulator:
             self.predictor.clock = lambda: self.cycle
         elif isinstance(self.predictor, ProbedPredictor):
             self.predictor = self.predictor.inner
-        for thread in self.threads:
-            generator = thread.generator
-            if not hasattr(generator, "phase_hook"):
-                continue
-            if bus is None:
-                generator.phase_hook = None
-                continue
-
-            def _emit_phase(
-                ordinal: int, index: int, name: str, _tid: int = thread.tid
-            ) -> None:
-                self.obs.emit(PhaseEvent(
-                    cycle=self.cycle, thread=_tid, name=name, index=ordinal
-                ))
-
-            generator.phase_hook = _emit_phase
-            # anchor attribution: announce the phase in effect right now
-            generator.announce()
 
     # ------------------------------------------------------------------ events
 

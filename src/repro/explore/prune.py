@@ -202,8 +202,8 @@ class AnalyticalPruner:
         self.profiles: List[WorkloadProfile] = []
         for name in workloads:
             for entry in workload_profiles(name):
-                # scenario specs (traces, dynamic schedules) supply a
-                # representative profile for the analytical priors
+                # trace specs supply a representative profile for the
+                # analytical priors
                 if hasattr(entry, "prior_profile"):
                     entry = entry.prior_profile()
                 self.profiles.append(entry)

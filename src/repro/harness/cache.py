@@ -3,8 +3,8 @@
 Every simulation cell — one (workload, :class:`~repro.core.CoreConfig`,
 :class:`~repro.experiments.runner.ExperimentSettings`, seed) tuple — is
 addressed by a stable SHA-256 digest of its full parameterisation, so a
-campaign's results survive process death and a re-run only executes the
-cells that are missing (the ``--resume`` workflow).
+campaign's results survive process death and a re-run with the same
+``--cache-dir`` only executes the cells that are missing.
 
 Layout on disk::
 
@@ -32,8 +32,8 @@ from typing import Any, Dict, Optional, Union
 #: incompatibly; old entries then read as misses.
 #: v2: CoreStats grew ``obs_snapshot`` — v1 pickles lack the attribute.
 #: v3: cell keys fold in the workload's *content* signature, so a
-#: retuned profile, an edited phase schedule, or a recaptured trace
-#: file can never alias an entry computed from different content.
+#: retuned profile or a recaptured trace file can never alias an entry
+#: computed from different content.
 #: v4: ``ExperimentSettings`` grew a ``backend`` field (kernel backend
 #: selection) and ``SimResult`` grew backend/sampling attributes — the
 #: settings repr feeding keys changed shape, and v3 payloads lack the
@@ -83,9 +83,9 @@ def cell_key(workload: str, config: Any, settings: Any, seed: int) -> str:
 
     The workload contributes both its *name* (human-auditable) and its
     resolved *content signature*
-    (:func:`repro.scenarios.workload_signature`): profile knobs, phase
-    schedules, and trace-file bytes all feed the digest, so same-named
-    workloads with different content occupy different cells.
+    (:func:`repro.scenarios.workload_signature`): profile knobs and
+    trace-file bytes feed the digest, so same-named workloads with
+    different content occupy different cells.
     """
     from repro.scenarios import workload_signature
 

@@ -60,7 +60,7 @@ from repro.errors import (
     WorkloadError,
     is_retryable,
 )
-from repro.harness.cache import ResultCache, cell_key, default_cache_dir
+from repro.harness.cache import ResultCache, cell_key
 from repro.harness.faults import (
     WORKER_KINDS,
     FaultSpec,

@@ -54,7 +54,6 @@ from repro.obs.events import (
     IssueEvent,
     LoadResolvedEvent,
     OperandEvent,
-    PhaseEvent,
     PredictorEvent,
     ReissueEvent,
     RenameEvent,
@@ -77,7 +76,6 @@ _LAZY = {
     "LoopAttribution": "repro.obs.attribution",
     "AttributionReport": "repro.obs.attribution",
     "AttributionEntry": "repro.obs.attribution",
-    "PhaseSlice": "repro.obs.attribution",
     "JsonlExporter": "repro.obs.export",
     "ChromeTraceExporter": "repro.obs.export",
     "result_snapshot": "repro.obs.export",
@@ -109,7 +107,6 @@ __all__ = [
     "DropEvent",
     "WritebackEvent",
     "OperandEvent",
-    "PhaseEvent",
     "LoadResolvedEvent",
     "BranchOutcomeEvent",
     "PredictorEvent",
@@ -124,7 +121,6 @@ __all__ = [
     "LoopAttribution",
     "AttributionReport",
     "AttributionEntry",
-    "PhaseSlice",
     "JsonlExporter",
     "ChromeTraceExporter",
     "result_snapshot",

@@ -44,8 +44,8 @@ lost IPC) tuple per loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List
 
 from repro.analysis.report import format_heading, format_table
 from repro.loops.model import loops_for_config
@@ -56,7 +56,6 @@ from repro.obs.events import (
     ExecuteEvent,
     LoadResolvedEvent,
     OperandEvent,
-    PhaseEvent,
     ReissueEvent,
     RetireEvent,
     SquashEvent,
@@ -100,64 +99,6 @@ class AttributionEntry:
 
 
 @dataclass
-class PhaseSlice:
-    """Cycle accounting for one phase of a dynamic workload.
-
-    A slice covers the machine cycles between two
-    :class:`~repro.obs.events.PhaseEvent` boundaries (the last slice
-    runs to the end of observation).  Every observed cycle lands in
-    exactly one slice and in exactly one bucket within it, so each
-    slice reconciles independently: ``useful + sum(lost) == cycles``.
-
-    Under SMT the cycles are machine cycles — a slice starts whenever
-    *any* thread crosses a phase boundary, and ``thread``/``index``
-    name the boundary that opened it.
-    """
-
-    name: str
-    thread: int
-    #: Global phase ordinal (keeps increasing across schedule laps).
-    index: int
-    start_cycle: int
-    cycles: int = 0
-    useful_cycles: int = 0
-    retired: int = 0
-    #: Per-loop lost cycles (same bucket names as the global entries).
-    lost: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def lost_cycles(self) -> int:
-        """All stall cycles attributed within this slice."""
-        return sum(self.lost.values())
-
-    @property
-    def reconciles(self) -> bool:
-        """useful + sum(per-loop lost) == cycles — must always hold."""
-        return self.useful_cycles + self.lost_cycles == self.cycles
-
-    @property
-    def ipc(self) -> float:
-        """Realised IPC over this slice."""
-        if self.cycles == 0:
-            return 0.0
-        return self.retired / self.cycles
-
-    def to_dict(self) -> Dict[str, object]:
-        """A JSON-ready rendering."""
-        return {
-            "name": self.name,
-            "thread": self.thread,
-            "index": self.index,
-            "start_cycle": self.start_cycle,
-            "cycles": self.cycles,
-            "useful_cycles": self.useful_cycles,
-            "retired": self.retired,
-            "ipc": self.ipc,
-            "lost": dict(self.lost),
-        }
-
-
-@dataclass
 class AttributionReport:
     """The full per-loop breakdown of one run's cycles."""
 
@@ -167,8 +108,6 @@ class AttributionReport:
     retired: int
     workload: str = ""
     config_label: str = ""
-    #: Per-phase slices; empty unless a dynamic engine emitted phases.
-    phases: List[PhaseSlice] = field(default_factory=list)
 
     def entry(self, name: str) -> AttributionEntry:
         """Look up one loop's row."""
@@ -225,7 +164,6 @@ class AttributionReport:
                 }
                 for e in self.entries
             ],
-            "phases": [phase.to_dict() for phase in self.phases],
         }
 
     def render(self) -> str:
@@ -265,36 +203,10 @@ class AttributionReport:
             f"({'reconciles' if self.reconciles else 'DOES NOT RECONCILE'}); "
             f"ipc={self.ipc:.3f} over {self.retired} retired"
         )
-        text = (
+        return (
             format_heading(title) + "\n"
             + format_table(headers, rows) + footer
         )
-        if self.phases:
-            phase_headers = [
-                "phase", "t", "ord", "start", "cycles", "useful",
-                "lost", "ipc", "top loop",
-            ]
-            phase_rows = []
-            for phase in self.phases:
-                top = max(
-                    phase.lost.items(), key=lambda item: item[1], default=None
-                )
-                phase_rows.append([
-                    phase.name,
-                    phase.thread,
-                    phase.index,
-                    phase.start_cycle,
-                    phase.cycles,
-                    phase.useful_cycles,
-                    phase.lost_cycles,
-                    f"{phase.ipc:.3f}",
-                    f"{top[0]} ({top[1]})" if top else "-",
-                ])
-            text += (
-                "\n\n" + format_heading("Per-phase slices") + "\n"
-                + format_table(phase_headers, phase_rows)
-            )
-        return text
 
 
 class LoopAttribution:
@@ -324,9 +236,6 @@ class LoopAttribution:
         self.useful_cycles = 0
         self._retired = 0
         self._retired_at_last_cycle = 0
-        #: Per-phase slices, in arrival order; the last one is live.
-        self._segments: List[PhaseSlice] = []
-        bus.subscribe(PhaseEvent, self._on_phase)
         bus.subscribe(BranchOutcomeEvent, self._on_branch)
         bus.subscribe(LoadResolvedEvent, self._on_load)
         bus.subscribe(OperandEvent, self._on_operand)
@@ -379,28 +288,20 @@ class LoopAttribution:
     def _on_retire(self, event: RetireEvent) -> None:
         self._retired += 1
 
-    def _on_phase(self, event: PhaseEvent) -> None:
-        self._segments.append(PhaseSlice(
-            name=event.name,
-            thread=event.thread,
-            index=event.index,
-            start_cycle=event.cycle,
-        ))
-
     # --- per-cycle classification ----------------------------------------
 
     def _on_cycle(self, event: CycleEvent) -> None:
         self.total_cycles += 1
         retired_this_cycle = self._retired - self._retired_at_last_cycle
         self._retired_at_last_cycle = self._retired
-        bucket: Optional[str] = None
         if event.port_stalls > 0:
             # lost issue slots are occurrences of the port bottleneck
             # whether or not the cycle still retired something
             self._entries[PORT_PRESSURE].occurrences += event.port_stalls
         if retired_this_cycle > 0:
             self.useful_cycles += 1
-        elif self._pending:
+            return
+        if self._pending:
             pending = self._pending.values()
             bucket = LOAD_LOOP if LOAD_LOOP in pending else OPERAND_LOOP
         elif event.port_stalls > 0:
@@ -409,16 +310,7 @@ class LoopAttribution:
             bucket = BRANCH_LOOP
         else:
             bucket = OTHER
-        if bucket is not None:
-            self._entries[bucket].lost_cycles += 1
-        if self._segments:
-            segment = self._segments[-1]
-            segment.cycles += 1
-            segment.retired += retired_this_cycle
-            if bucket is None:
-                segment.useful_cycles += 1
-            else:
-                segment.lost[bucket] = segment.lost.get(bucket, 0) + 1
+        self._entries[bucket].lost_cycles += 1
 
     # --- reporting --------------------------------------------------------
 
@@ -450,17 +342,4 @@ class LoopAttribution:
             retired=retired,
             workload=workload,
             config_label=config_label,
-            phases=[
-                PhaseSlice(
-                    name=s.name,
-                    thread=s.thread,
-                    index=s.index,
-                    start_cycle=s.start_cycle,
-                    cycles=s.cycles,
-                    useful_cycles=s.useful_cycles,
-                    retired=s.retired,
-                    lost=dict(s.lost),
-                )
-                for s in self._segments
-            ],
         )

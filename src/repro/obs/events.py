@@ -280,28 +280,6 @@ class WritebackEvent(Event):
 
 
 # --------------------------------------------------------------------------
-# Workload phases (emitted by dynamic scenario engines via the pipeline)
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PhaseEvent(Event):
-    """A thread's dynamic workload entered a new phase.
-
-    Emitted when a :class:`~repro.scenarios.dynamic.DynamicWorkloadEngine`
-    crosses a phase boundary (and once at attach time, anchoring the
-    phase in effect when observation starts).  ``index`` is the global
-    phase ordinal — it keeps increasing across schedule laps, so two
-    visits to the same named phase stay distinguishable.
-    """
-
-    KIND: ClassVar[str] = "phase"
-
-    thread: int
-    name: str
-    index: int
-
-
-# --------------------------------------------------------------------------
 # Per-cycle sample
 # --------------------------------------------------------------------------
 

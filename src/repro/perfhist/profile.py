@@ -93,14 +93,6 @@ def golden_cells() -> Iterator[Tuple[str, Any]]:
         yield f"base_p4_rf{rf}", CoreConfig.base(rf, rf_read_ports=4)
 
 
-def _trim_attribution(report) -> Dict[str, Any]:
-    """An AttributionReport.to_dict() without empty per-phase slices."""
-    payload = report.to_dict()
-    if not payload.get("phases"):
-        payload.pop("phases", None)
-    return payload
-
-
 def _trim_metrics(snapshot: Optional[Dict[str, Any]]) -> Dict[str, float]:
     """Scalar metric entries only (histogram structures stay cache-side)."""
     if not snapshot:
@@ -131,7 +123,7 @@ def _attributed_simulate(workload, config, **kwargs):
     report = attribution.report(
         result.stats, workload=result.workload, config_label=config.label,
     )
-    return result, _trim_attribution(report), _trim_metrics(metrics)
+    return result, report.to_dict(), _trim_metrics(metrics)
 
 
 def ipc_profiles(backend: str = "reference") -> List[Profile]:

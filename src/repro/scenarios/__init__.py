@@ -1,20 +1,15 @@
-"""Scenario engines: trace replay and phase-varying dynamic workloads.
+"""Scenario engines: trace replay behind the workload-engine contract.
 
 The subsystem generalises uop supply behind the
 :class:`~repro.scenarios.base.WorkloadEngine` contract (any
-deterministic, clonable, fast-forwardable stream), and provides two
-engine families beyond the synthetic generator:
+deterministic, clonable, fast-forwardable stream), and provides one
+engine family beyond the synthetic generator:
 
 * :mod:`repro.scenarios.trace` — versioned on-disk uop traces with
   capture (``loopsim trace capture``) and O(1)-seek replay
-  (``trace:<path>`` workload names);
-* :mod:`repro.scenarios.dynamic` — :class:`PhaseSchedule`-driven
-  engines whose profile parameters follow intensity patterns over time
-  (``<workload>@<pattern>[:period]`` names), with phase boundaries
-  surfaced as obs events for per-phase loop attribution.
+  (``trace:<path>`` workload names).
 
-``docs/scenarios.md`` documents the trace format, the pattern table,
-and the engine API.
+``docs/scenarios.md`` documents the trace format and the engine API.
 """
 
 from repro.scenarios.base import (
@@ -23,16 +18,6 @@ from repro.scenarios.base import (
     build_engine_for,
     entry_signature,
     profile_signature,
-)
-from repro.scenarios.dynamic import (
-    DEFAULT_PERIOD,
-    PATTERNS,
-    DynamicSpec,
-    DynamicWorkloadEngine,
-    PhaseSchedule,
-    interpolate_profiles,
-    resolve_dynamic,
-    stressed_variant,
 )
 from repro.scenarios.registry import workload_catalog, workload_signature
 from repro.scenarios.trace import (
@@ -51,14 +36,6 @@ __all__ = [
     "build_engine_for",
     "entry_signature",
     "profile_signature",
-    "PhaseSchedule",
-    "DynamicSpec",
-    "DynamicWorkloadEngine",
-    "PATTERNS",
-    "DEFAULT_PERIOD",
-    "interpolate_profiles",
-    "stressed_variant",
-    "resolve_dynamic",
     "TraceError",
     "TraceExhaustedError",
     "TraceReplayEngine",

@@ -16,13 +16,13 @@ oracle, and the harness can consume any engine honouring it:
 The determinism contract: for any engine ``e``, a clone fast-forwarded
 by ``e.emitted`` continues ``e``'s stream exactly.  The golden retire
 model (:mod:`repro.verify.oracle`) is built on nothing else, which is
-what lets it check trace replays and phase-varying streams with the
-same code that checks the synthetic generator.
+what lets it check trace replays with the same code that checks the
+synthetic generator.
 
 ``EngineSpec`` is the *declarative* half: a named, content-addressable
-recipe (`trace:<path>`, ``swim@bursty``) that ``workload_profiles``
-returns in place of a plain profile.  Anything with a ``build_engine``
-method is treated as a spec by the simulator; plain
+recipe (``trace:<path>``) that ``workload_profiles`` returns in place
+of a plain profile.  Anything with a ``build_engine`` method is treated
+as a spec by the simulator; plain
 :class:`~repro.workloads.WorkloadProfile` objects keep the historical
 fast path and bit-identical streams.
 """

@@ -3,13 +3,13 @@
 Two consumers:
 
 * the harness cache (:func:`workload_signature`) — folds each resolved
-  engine's content digest into cell keys, so a renamed trace file, an
-  edited schedule, or a retuned profile can never alias a cached
-  result that was computed from different content;
+  engine's content digest into cell keys, so a recaptured trace file
+  or a retuned profile can never alias a cached result that was
+  computed from different content;
 * the CLI (:func:`workload_catalog`) — one structured listing of every
   resolvable workload name (families, thread counts, descriptions)
-  plus the dynamic pattern table and the trace syntax, rendered by
-  ``loopsim workloads`` as text or ``--json``.
+  plus the trace syntax, rendered by ``loopsim workloads`` as text or
+  ``--json``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import Any, Dict, List
 
 from repro.errors import WorkloadError
 from repro.scenarios.base import entries_signature
-from repro.scenarios.dynamic import DEFAULT_PERIOD, PATTERN_DESCRIPTIONS
 
 
 def workload_signature(name: str) -> str:
@@ -99,15 +98,6 @@ def workload_catalog() -> Dict[str, Any]:
         })
     return {
         "workloads": workloads,
-        "patterns": [
-            {
-                "name": name,
-                "description": description,
-                "syntax": f"<workload>@{name}[:period]",
-                "default_period": DEFAULT_PERIOD,
-            }
-            for name, description in sorted(PATTERN_DESCRIPTIONS.items())
-        ],
         "trace": {
             "syntax": "trace:<path>",
             "description": (

@@ -160,9 +160,9 @@ def capture_trace(
     """Capture ``count`` ops of ``workload``'s stream (one thread) to
     ``path``.
 
-    Works for any resolvable workload — profile, SMT pair member,
-    dynamic schedule, even another trace — because it builds the same
-    engine the simulator would and dumps its stream from position 0.
+    Works for any resolvable workload — profile, SMT pair member, even
+    another trace — because it builds the same engine the simulator
+    would and dumps its stream from position 0.
     """
     from repro.scenarios.base import build_engine_for
     from repro.workloads.suites import workload_profiles
@@ -367,11 +367,7 @@ class TraceSpec:
         source = str(self._load().header.get("source") or "")
         if source and not source.startswith("trace:"):
             try:
-                entry = workload_profiles(source)[0]
+                return workload_profiles(source)[0]
             except WorkloadError:
-                entry = None
-            if entry is not None:
-                if hasattr(entry, "prior_profile"):
-                    return entry.prior_profile()
-                return entry
+                pass
         return SMOKE_PROFILES["int_test"]

@@ -115,9 +115,6 @@ class FuzzCase:
     #: DRAConfig field overrides (``kind == "dra"`` only).
     dra: Dict[str, Any] = field(default_factory=dict)
     profile: Dict[str, Any] = field(default_factory=dict)
-    #: Optional dynamic-workload wrapper: ``{"pattern": ..., "period": ...}``
-    #: turns the profile into a phase-varying schedule (empty = static).
-    scenario: Dict[str, Any] = field(default_factory=dict)
 
     def build_config(self) -> CoreConfig:
         overrides = dict(self.config)
@@ -136,21 +133,6 @@ class FuzzCase:
     def build_profile(self) -> WorkloadProfile:
         return profile_from_dict(self.profile)
 
-    def build_entry(self):
-        """The workload entry handed to the simulator: the plain profile,
-        or — when ``scenario`` is set — a phase-varying engine spec over
-        it, so the fuzzer exercises the dynamic supply path too."""
-        profile = self.build_profile()
-        if not self.scenario:
-            return profile
-        from repro.scenarios.dynamic import DynamicSpec, PhaseSchedule
-
-        return DynamicSpec(PhaseSchedule.from_pattern(
-            profile,
-            self.scenario["pattern"],
-            period=int(self.scenario.get("period", 1024)),
-        ))
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "seed": self.seed,
@@ -160,7 +142,6 @@ class FuzzCase:
             "config": dict(self.config),
             "dra": dict(self.dra),
             "profile": dict(self.profile),
-            "scenario": dict(self.scenario),
         }
 
     @classmethod
@@ -173,7 +154,6 @@ class FuzzCase:
             config=dict(data.get("config", {})),
             dra=dict(data.get("dra", {})),
             profile=dict(data["profile"]),
-            scenario=dict(data.get("scenario", {})),
         )
 
 
@@ -286,11 +266,11 @@ def run_case(
         )
     try:
         config = case.build_config()
-        entry = case.build_entry()
+        profile = case.build_profile()
     except (ValueError, KeyError) as error:
         # an invalid case is a generator bug, not a simulator bug
         raise ReproError(f"unbuildable fuzz case: {error}") from error
-    simulator = kernel.build(config, [entry], seed=case.seed)
+    simulator = kernel.build(config, [profile], seed=case.seed)
     bus = EventBus()
     verifier = Verifier()
     verifier.attach(simulator, bus)
@@ -447,15 +427,6 @@ def random_case(
         for knob, pool in _DRA_POOLS.items():
             if rng.random() < 0.35:
                 dra[knob] = rng.choice(pool)
-    scenario: Dict[str, Any] = {}
-    if rng.random() < 0.25:
-        from repro.scenarios.dynamic import PATTERNS
-
-        # short periods so even small cases cross phase boundaries
-        scenario = {
-            "pattern": rng.choice(sorted(PATTERNS)),
-            "period": rng.choice([256, 512, 2048]),
-        }
     return FuzzCase(
         seed=rng.randrange(1 << 30),
         instructions=rng.randrange(50, max_instructions + 1),
@@ -464,7 +435,6 @@ def random_case(
         config=config,
         dra=dra,
         profile=_random_profile(rng),
-        scenario=scenario,
     )
 
 
@@ -578,25 +548,6 @@ def _shrink_profile(
     return best
 
 
-def _shrink_scenario(
-    case: FuzzCase,
-    inject: Optional[str],
-    deadline: Optional[float],
-) -> FuzzCase:
-    """Try dropping the dynamic-workload wrapper (static is simpler)."""
-    if not case.scenario:
-        return case
-    if deadline is not None and time.monotonic() > deadline:
-        return case
-    candidate = replace(case, scenario={})
-    try:
-        if run_case(candidate, inject) is not None:
-            return candidate
-    except ReproError:
-        pass
-    return case
-
-
 def shrink(
     case: FuzzCase,
     inject: Optional[str] = None,
@@ -612,7 +563,6 @@ def shrink(
     best = _shrink_instructions(case, inject, deadline)
     best = _shrink_mapping(best, "config", inject, deadline)
     best = _shrink_mapping(best, "dra", inject, deadline)
-    best = _shrink_scenario(best, inject, deadline)
     best = _shrink_profile(best, inject, deadline)
     best = _shrink_instructions(best, inject, deadline)
     return best
@@ -625,11 +575,9 @@ def shrink(
 
 def _micro_ops(case: FuzzCase) -> List[Dict[str, Any]]:
     """The case's first micro-ops, serialised for the reproducer."""
-    entry = case.build_entry()
-    if hasattr(entry, "build_engine"):
-        generator = entry.build_engine(seed=case.seed, thread=0)
-    else:
-        generator = SyntheticTraceGenerator(entry, seed=case.seed, thread=0)
+    generator = SyntheticTraceGenerator(
+        case.build_profile(), seed=case.seed, thread=0
+    )
     ops = []
     for _ in range(min(case.instructions, 200)):
         op = generator.next_op()

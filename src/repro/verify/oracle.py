@@ -67,7 +67,10 @@ class GoldenRetireModel:
 
         Must be called while nothing is in flight (between functional
         warmup and ``run()``); the reference generators fast-forward to
-        each thread generator's current position.
+        each thread generator's current position.  The fast generator
+        inherits ``clone()``, so its reference is the readable
+        :class:`~repro.workloads.SyntheticTraceGenerator`: the check
+        does not trust the generator of the kernel it checks.
         """
         for thread in simulator.threads:
             generator = thread.generator

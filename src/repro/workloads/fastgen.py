@@ -29,9 +29,12 @@ next_cursor)`` tables.
 
 Equivalence is enforced by tests (``tests/test_backend.py::
 TestFastGenerator`` compares 2,000-op streams element-wise and the final
-RNG state for every shipped profile, two seeds and two threads) and
-transitively by every golden pin and differential law run against the
-``optimized`` kernel backend, which is the only consumer of this class.
+RNG state for every shipped profile, two seeds and two threads), by the
+golden retire model (``clone()`` is inherited, so the oracle's reference
+stream comes from the readable generator and a verified run on the
+``optimized`` kernel checks this class op for op), and transitively by
+every golden pin and differential law run against the ``optimized``
+kernel backend, which is the only consumer of this class.
 """
 
 from __future__ import annotations
@@ -123,14 +126,6 @@ class FastSyntheticTraceGenerator(SyntheticTraceGenerator):
                 table.append((regs[0] if chosen is None else chosen, cursor))
         self._dst_int = int_table
         self._dst_fp = fp_table
-
-    def clone(self) -> "FastSyntheticTraceGenerator":
-        return FastSyntheticTraceGenerator(
-            self.profile,
-            seed=self.seed,
-            thread=self.thread,
-            page_bytes=self.page_bytes,
-        )
 
     # ------------------------------------------------------- inlined helpers
 

@@ -8,13 +8,11 @@ vocabulary (:mod:`repro.scenarios`):
 
 * scenario profile families (``pointer_chase``, ``interp_dispatch``,
   ``server_icache``) and heterogeneous SMT mixes over them;
-* ``trace:<path>`` — replay of a captured uop trace;
-* ``<base>@<pattern>[:<period>]`` — phase-varying dynamic workloads
-  (``swim@bursty``, ``int_test@diurnal:2048``, ...).
+* ``trace:<path>`` — replay of a captured uop trace.
 
-Scenario entries are :class:`~repro.scenarios.base.EngineSpec` objects
-rather than plain profiles; the simulator builds the matching engine
-per thread.  ``ALL_WORKLOADS`` — the paper's figure suite — is
+A trace entry is a :class:`~repro.scenarios.trace.TraceSpec` rather
+than a plain profile; the simulator builds its replay engine per
+thread.  ``ALL_WORKLOADS`` — the paper's figure suite — is
 deliberately untouched by any of this.
 """
 
@@ -61,9 +59,8 @@ SCENARIO_PAIRS: Dict[str, Tuple[str, str]] = {
     "pointer+compress": ("pointer_chase", "compress"),
 }
 
-#: Statically named scenario workloads (families + mixes).  Dynamic
-#: (``@pattern``) and trace (``trace:``) names are open-ended syntax,
-#: not a finite list.
+#: Statically named scenario workloads (families + mixes).  Trace
+#: (``trace:``) names are open-ended syntax, not a finite list.
 SCENARIO_WORKLOADS: Tuple[str, ...] = (
     tuple(SCENARIO_PROFILES) + tuple(SCENARIO_PAIRS)
 )
@@ -81,8 +78,8 @@ def workload_profiles(name: str) -> List[WorkloadProfile]:
 
     Single benchmarks return a one-element list; SMT pair names return
     two entries.  Plain names resolve to
-    :class:`~repro.workloads.WorkloadProfile`; ``trace:`` and
-    ``@pattern`` names resolve to engine specs.  Raises
+    :class:`~repro.workloads.WorkloadProfile`; ``trace:`` names resolve
+    to a :class:`~repro.scenarios.trace.TraceSpec`.  Raises
     :class:`~repro.errors.WorkloadError` for unknown names.
     """
     if name in SPEC95_PROFILES:
@@ -95,7 +92,7 @@ def workload_profiles(name: str) -> List[WorkloadProfile]:
         return [SCENARIO_PROFILES[name]]
     if name in SCENARIO_PAIRS:
         return [_named_profile(part) for part in SCENARIO_PAIRS[name]]
-    # scenario syntax (lazy imports: repro.scenarios imports this module)
+    # trace syntax (lazy import: repro.scenarios imports this module)
     if name.startswith("trace:"):
         from repro.scenarios.trace import TraceSpec
 
@@ -103,12 +100,8 @@ def workload_profiles(name: str) -> List[WorkloadProfile]:
         if not path:
             raise WorkloadError("trace: workload needs a path (trace:<path>)")
         return [TraceSpec(path)]
-    if "@" in name:
-        from repro.scenarios.dynamic import resolve_dynamic
-
-        return resolve_dynamic(name)
     raise WorkloadError(
         f"unknown workload {name!r}; known: "
         f"{', '.join(ALL_WORKLOADS + SMOKE_WORKLOADS + SCENARIO_WORKLOADS)} "
-        f"— plus trace:<path> and <base>@<pattern>[:<period>] scenarios"
+        "— plus trace:<path>"
     )

@@ -8,6 +8,8 @@ exactness gate, sampled-mode geometry and its declared error bounds,
 and the planted-drift self-test of the cross-check.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.backend import (
@@ -26,6 +28,7 @@ from repro.core.config import CoreConfig, LoadRecovery, PortConfig
 from repro.core.pipeline import Simulator
 from repro.core.simulator import simulate
 from repro.errors import ConfigError
+from repro.verify import Verifier
 from repro.workloads import (
     SCENARIO_PROFILES,
     SMOKE_PROFILES,
@@ -292,10 +295,37 @@ class TestFastGenerator:
                 assert readable._rng.getstate() == fast._rng.getstate(), where
                 # the oracle's rebuild: clone() + fast_forward(emitted)
                 rebuilt = fast.clone()
-                assert type(rebuilt) is FastSyntheticTraceGenerator
+                assert type(rebuilt) is SyntheticTraceGenerator
                 rebuilt.fast_forward(fast.emitted)
                 assert [rebuilt.next_op() for _ in range(100)] == \
                     [fast.next_op() for _ in range(100)], where
+
+    def test_retire_oracle_catches_a_fast_generator_divergence(
+        self, monkeypatch
+    ):
+        """A one-op slip in the fast generator fails a verified run on
+        the default kernel: the oracle's reference stream comes from the
+        readable generator, not from the kernel's own."""
+        assert DEFAULT_BACKEND == "optimized"
+        planted = 20_500
+        fast_next_op = FastSyntheticTraceGenerator.next_op
+
+        def next_op(self):
+            op = fast_next_op(self)
+            if self.emitted == planted:
+                op = replace(op, pc=op.pc + 4)
+            return op
+
+        monkeypatch.setattr(FastSyntheticTraceGenerator, "next_op", next_op)
+        verifier = Verifier()
+        simulate(
+            "int_test", CoreConfig.base(3), instructions=1500,
+            warmup=20_000, detailed_warmup=400, verifier=verifier,
+        )
+        messages = [v.describe() for v in verifier.violations]
+        assert len(messages) == 1, messages
+        assert messages[0].startswith("[oracle]"), messages
+        assert "retired op diverges" in messages[0], messages
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,12 @@ class TestParser:
         assert args.rf == 3
 
     def test_run_rejects_unknown_workload(self, capsys):
-        # scenario names (trace:path, base@pattern) are open-ended, so
-        # rejection happens at resolution time, not in argparse
-        assert main(["run", "doom3"]) == 2
-        assert "unknown workload" in capsys.readouterr().err
+        # trace:<path> names are open-ended, so rejection happens at
+        # resolution time, not in argparse; <base>@<pattern> is no
+        # workload syntax at all
+        for name in ("doom3", "int_test@bursty"):
+            assert main(["run", name]) == 2
+            assert "unknown workload" in capsys.readouterr().err
 
     def test_fig_commands_registered(self):
         for name in ("fig4", "fig5", "fig6", "fig8", "fig9"):
@@ -100,18 +102,26 @@ class TestHarnessFlags:
     def test_campaign_flags_parse(self):
         args = build_parser().parse_args([
             "fig4", "--jobs", "2", "--cell-timeout", "5",
-            "--resume", "--cache-dir", "/tmp/loopsim-cache",
+            "--cache-dir", "/tmp/loopsim-cache",
         ])
         assert args.jobs == 2
         assert args.cell_timeout == 5.0
-        assert args.resume
         assert args.cache_dir == "/tmp/loopsim-cache"
+
+    def test_resume_is_serve_only(self, capsys):
+        # campaigns and explore resume from --cache-dir alone; serve's
+        # --resume replays its journal
+        for command in ("fig4", "ablations", "explore"):
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args([command, "--resume"])
+            assert excinfo.value.code == 2
+        assert "--resume" in capsys.readouterr().err
+        assert build_parser().parse_args(["serve", "--resume"]).resume
 
     def test_flags_default_off(self):
         args = build_parser().parse_args(["fig5"])
         assert args.jobs == 1
         assert args.cell_timeout is None
-        assert not args.resume
         assert args.cache_dir is None
         assert not args.verify
 

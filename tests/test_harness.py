@@ -533,8 +533,9 @@ class TestCampaignRecovery:
         report = campaign.failure_report()
         assert "swim" in report and "gcc" in report
 
-        # --resume with the faults gone: healthy cells come from the
-        # cache (no re-execution), only the two failed cells run.
+        # Re-run on the same cache dir with the faults gone: healthy
+        # cells come from the cache (no re-execution), only the two
+        # failed cells run.
         resumed = self.harness(tmp_path)
         cells = [
             Cell(workload=w, config=BASE, settings=TINY, seed=0)
@@ -548,8 +549,9 @@ class TestCampaignRecovery:
         assert not outcomes["gcc"].cached
 
     def test_resume_disabled_recomputes(self, tmp_path):
-        # execute_cells reads the cache (what --resume reuses); run_cell
-        # never does, so it recomputes a cached cell and rewrites it
+        # execute_cells reads the cache (what a re-run on the same cache
+        # dir reuses); run_cell never does, so it recomputes a cached
+        # cell and rewrites it
         harness = self.harness(tmp_path)
         [first] = execute_cells([tiny_cell()], harness)
         [again] = execute_cells([tiny_cell()], harness)

@@ -1,33 +1,23 @@
-"""Tests for repro.scenarios: trace capture/replay, dynamic workloads,
-phase-sliced attribution, and the scenario wiring into suites, cache,
-fuzzing, and the CLI."""
+"""Tests for repro.scenarios: trace capture/replay and the scenario
+wiring into suites, cache keys, exploration, and the CLI."""
 
 import gzip
 import json
 import os
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.__main__ import main
 from repro.core.config import CoreConfig
 from repro.core.simulator import simulate
 from repro.errors import WorkloadError
-from repro.obs import EventBus, PhaseEvent
-from repro.obs.attribution import LoopAttribution
 from repro.scenarios import (
-    PATTERNS,
-    DynamicSpec,
-    DynamicWorkloadEngine,
-    PhaseSchedule,
     TraceError,
     TraceExhaustedError,
     TraceReplayEngine,
     TraceSpec,
     build_engine_for,
     capture_trace,
-    interpolate_profiles,
-    stressed_variant,
     workload_catalog,
     workload_signature,
     write_trace,
@@ -226,187 +216,7 @@ class TestTraceFormatErrors:
 
 
 # ---------------------------------------------------------------------------
-# Dynamic workloads
-# ---------------------------------------------------------------------------
-
-
-_profile_names = st.sampled_from(
-    sorted(SPEC95_PROFILES) + sorted(SCENARIO_PROFILES) + ["int_test"]
-)
-
-
-def _named_profile(name):
-    return workload_profiles(name)[0]
-
-
-class TestPhaseScheduleProperties:
-    @given(
-        name=_profile_names,
-        pattern=st.sampled_from(sorted(PATTERNS)),
-        period=st.integers(min_value=8, max_value=4_096),
-        positions=st.lists(
-            st.integers(min_value=0, max_value=1 << 20),
-            min_size=1, max_size=40,
-        ),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_segment_at_is_pure_and_monotone(
-        self, name, pattern, period, positions
-    ):
-        """segment_at is a pure function of position: re-querying agrees,
-        ordinals never decrease along increasing positions, and the
-        ordinal increments by exactly one per boundary crossing."""
-        schedule = PhaseSchedule.from_pattern(
-            _named_profile(name), pattern, period=period
-        )
-        assert schedule.total_ops >= len(schedule.phases)
-        for position in positions:
-            index, ordinal = schedule.segment_at(position)
-            assert (index, ordinal) == schedule.segment_at(position)
-            assert 0 <= index < len(schedule.phases)
-            assert ordinal % len(schedule.phases) == index
-        walked = [
-            schedule.segment_at(p)[1] for p in sorted(positions)
-        ]
-        assert walked == sorted(walked)
-
-    @given(
-        name=_profile_names,
-        pattern=st.sampled_from(sorted(PATTERNS)),
-        intensity=st.floats(min_value=0.0, max_value=1.0),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_interpolation_always_validates(self, name, pattern, intensity):
-        """Any intensity in [0, 1] yields a constructible profile (the
-        sub-model validators in profiles.py raise on any violation)."""
-        base = _named_profile(name)
-        profile = interpolate_profiles(
-            base, stressed_variant(base), intensity, name="interp-test"
-        )
-        assert isinstance(profile, WorkloadProfile)
-        assert abs(sum(frac for _, frac in profile.mix.items()) - 1.0) < 1e-6
-
-    @given(
-        name=_profile_names,
-        pattern=st.sampled_from(sorted(PATTERNS)),
-        period=st.integers(min_value=64, max_value=2_048),
-        split=st.integers(min_value=0, max_value=600),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_engine_clone_fast_forward_determinism(
-        self, name, pattern, period, split
-    ):
-        """clone() + fast_forward(n) continues the stream exactly —
-        the determinism contract the golden retire model relies on."""
-        schedule = PhaseSchedule.from_pattern(
-            _named_profile(name), pattern, period=period
-        )
-        engine = DynamicWorkloadEngine(schedule, seed=3)
-        ops = [engine.next_op() for _ in range(split + 20)]
-        twin = engine.clone()
-        twin.fast_forward(split)
-        assert [twin.next_op() for _ in range(20)] == ops[split:split + 20]
-
-
-class TestDynamicEngine:
-    def test_phase_hook_fires_in_order(self):
-        schedule = PhaseSchedule.from_pattern(
-            SMOKE_PROFILES["int_test"], "bursty", period=64
-        )
-        engine = DynamicWorkloadEngine(schedule)
-        seen = []
-        engine.phase_hook = lambda ordinal, index, name: seen.append(
-            (ordinal, index, name)
-        )
-        engine.announce()
-        for _ in range(200):
-            engine.next_op()
-        ordinals = [entry[0] for entry in seen]
-        assert ordinals == sorted(ordinals)
-        assert ordinals == list(range(ordinals[0], ordinals[-1] + 1))
-        names = {entry[2] for entry in seen}
-        assert names == {"calm", "burst"}
-
-    def test_schedule_signature_tracks_content(self):
-        base = SMOKE_PROFILES["int_test"]
-        a = PhaseSchedule.from_pattern(base, "bursty", period=512)
-        b = PhaseSchedule.from_pattern(base, "bursty", period=1024)
-        c = PhaseSchedule.from_pattern(base, "ramp", period=512)
-        assert len({a.signature(), b.signature(), c.signature()}) == 3
-        assert a.signature() == PhaseSchedule.from_pattern(
-            base, "bursty", period=512
-        ).signature()
-
-    def test_resolve_rejects_bad_names(self):
-        with pytest.raises(WorkloadError, match="pattern"):
-            workload_profiles("int_test@nosuchpattern")
-        with pytest.raises(WorkloadError):
-            workload_profiles("nosuchbase@bursty")
-        with pytest.raises(WorkloadError, match="malformed|unknown"):
-            workload_profiles("int_test@")
-
-    def test_resolve_smt_pair_gets_schedule_per_thread(self):
-        specs = workload_profiles("apsi+swim@steady:512")
-        assert len(specs) == 2
-        assert {spec.schedule.base_profile.name for spec in specs} == {
-            "apsi", "swim",
-        }
-
-
-# ---------------------------------------------------------------------------
-# End-to-end: phase-sliced attribution
-# ---------------------------------------------------------------------------
-
-
-class TestPhaseAttribution:
-    def test_every_phase_slice_reconciles(self):
-        """The acceptance invariant: in a phase-varying run, useful +
-        per-loop lost == total within every single phase slice, and the
-        slices partition the observed cycles exactly."""
-        bus = EventBus()
-        config = CoreConfig.base(3)
-        attribution = LoopAttribution(bus, config)
-        result = simulate(
-            "int_test@bursty:2048", config, obs=bus,
-            warmup=500, instructions=6_000, detailed_warmup=100,
-        )
-        report = attribution.report(
-            result.stats, workload="int_test@bursty:2048"
-        )
-        assert report.reconciles
-        assert len(report.phases) >= 3
-        for phase in report.phases:
-            assert phase.reconciles, phase
-        assert sum(p.cycles for p in report.phases) == report.total_cycles
-        ordinals = [p.index for p in report.phases]
-        assert ordinals == sorted(ordinals)
-        rendered = report.render()
-        assert "Per-phase slices" in rendered
-        payload = report.to_dict()
-        assert len(payload["phases"]) == len(report.phases)
-
-    def test_phase_events_reach_generic_subscribers(self):
-        bus = EventBus()
-        seen = []
-        bus.subscribe(PhaseEvent, seen.append)
-        simulate(
-            "int_test@steady:512", CoreConfig.base(3), obs=bus, **RUN
-        )
-        assert seen, "dynamic run emitted no phase events"
-        assert all(event.to_dict()["kind"] == "phase" for event in seen)
-
-    def test_static_workload_reports_no_phases(self):
-        bus = EventBus()
-        config = CoreConfig.base(3)
-        attribution = LoopAttribution(bus, config)
-        result = simulate("int_test", config, obs=bus, **RUN)
-        report = attribution.report(result.stats)
-        assert report.phases == []
-        assert report.reconciles
-
-
-# ---------------------------------------------------------------------------
-# Wiring: suites, engines, signatures, cache keys, explore, fuzz
+# Wiring: suites, engines, signatures, cache keys, explore
 # ---------------------------------------------------------------------------
 
 
@@ -437,10 +247,10 @@ class TestSuiteResolution:
             build_engine_for(profile, seed=0, thread=0, page_bytes=8192),
             SyntheticTraceGenerator,
         )
-        spec = workload_profiles("int_test@steady")[0]
+        spec = TraceSpec(GOLDEN_TRACE)
         assert isinstance(
             build_engine_for(spec, seed=0, thread=0, page_bytes=8192),
-            DynamicWorkloadEngine,
+            TraceReplayEngine,
         )
 
     def test_new_families_simulate_and_retire(self):
@@ -456,13 +266,13 @@ class TestSuiteResolution:
         names = {entry["name"] for entry in catalog["workloads"]}
         assert set(SCENARIO_PROFILES) <= names
         assert set(SCENARIO_PAIRS) <= names
-        assert {p["name"] for p in catalog["patterns"]} == set(PATTERNS)
+        assert catalog["trace"]["syntax"] == "trace:<path>"
 
 
 class TestSignaturesAndCacheKeys:
     def test_signature_distinguishes_workloads(self):
         names = ["int_test", "swim", "pointer_chase",
-                 "int_test@bursty", "int_test@bursty:512"]
+                 f"trace:{GOLDEN_TRACE}"]
         signatures = [workload_signature(name) for name in names]
         assert len(set(signatures)) == len(signatures)
 
@@ -496,42 +306,11 @@ class TestExploreAndFuzzWiring:
     def test_pruner_accepts_scenario_workloads(self):
         from repro.explore.prune import AnalyticalPruner
 
-        pruner = AnalyticalPruner(
-            ["int_test@bursty", f"trace:{GOLDEN_TRACE}", "pointer_chase"]
-        )
+        pruner = AnalyticalPruner([f"trace:{GOLDEN_TRACE}", "pointer_chase"])
         assert all(
             isinstance(profile, WorkloadProfile)
             for profile in pruner.profiles
         )
-
-    def test_fuzz_case_scenario_roundtrip_and_run(self):
-        from repro.verify.fuzz import FuzzCase, canonical_cases, run_case
-
-        base = canonical_cases()[0]
-        case = FuzzCase(
-            seed=base.seed, instructions=600, kind=base.kind,
-            rf_read_latency=base.rf_read_latency,
-            profile=dict(base.profile),
-            scenario={"pattern": "bursty", "period": 256},
-        )
-        assert FuzzCase.from_dict(case.to_dict()) == case
-        assert isinstance(case.build_entry(), DynamicSpec)
-        assert run_case(case) is None, "scenario case failed verification"
-
-    def test_fuzz_scenario_shrinks_away(self):
-        from dataclasses import replace
-
-        from repro.verify.fuzz import _shrink_scenario, canonical_cases
-
-        # injected failure reproduces without the scenario, so the
-        # shrinker must drop it
-        base = canonical_cases()[0]
-        case = replace(
-            base, instructions=250,
-            scenario={"pattern": "steady", "period": 512},
-        )
-        shrunk = _shrink_scenario(case, "skip-reissue", None)
-        assert shrunk.scenario == {}
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +322,7 @@ class TestScenarioCLI:
     def test_workloads_json(self, capsys):
         assert main(["workloads", "--json"]) == 0
         catalog = json.loads(capsys.readouterr().out)
-        assert {"workloads", "patterns", "trace"} <= set(catalog)
+        assert set(catalog) == {"workloads", "trace"}
         families = {entry["family"] for entry in catalog["workloads"]}
         assert "scenario" in families
 
@@ -562,15 +341,6 @@ class TestScenarioCLI:
         assert main(["trace", "capture"]) == 2
         assert main(["trace", "capture", "int_test"]) == 2
         capsys.readouterr()
-
-    def test_attribute_dynamic_verifies(self, capsys):
-        assert main([
-            "attribute", "int_test@bursty:1024",
-            "--instructions", "2000", "--verify",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "Per-phase slices" in out
-        assert "reconciles" in out
 
     def test_run_scenario_family(self, capsys):
         assert main([

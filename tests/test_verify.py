@@ -496,8 +496,8 @@ class TestDifferentialChecks:
 
     @pytest.mark.parametrize("backend", _exact_backends())
     @pytest.mark.parametrize("workload", [
-        "go+su2cor", f"trace:{MINI_TRACE}", "int_test@bursty",
-    ], ids=["smt-pair", "mini-trace", "bursty"])
+        "go+su2cor", f"trace:{MINI_TRACE}",
+    ], ids=["smt-pair", "mini-trace"])
     def test_warm_restore_on_scenarios(self, workload, backend):
         from repro.verify import check_warm_restore
 
