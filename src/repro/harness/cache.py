@@ -11,12 +11,21 @@ Layout on disk::
     <cache_dir>/
         ab/
             ab3f9c... .pkl     one pickled payload per cell
+        warm/
+            4e/
+                4e01d7... .pkl one functional-warmup snapshot per warm key
 
 Payloads are pickled dicts carrying a format version plus enough
 metadata (workload, config label, seed) to audit the cache with a shell
-one-liner.  A corrupt or version-mismatched entry is treated as a miss
-and quietly removed; the cache is an accelerator, never a correctness
-dependency.
+one-liner.  A corrupt entry is treated as a miss and quietly removed,
+and an entry of another version is a miss that the recomputed entry
+replaces; the cache is an accelerator, never a correctness dependency.
+
+Warm entries hold :func:`~repro.core.simulator.warm_snapshot` bytes
+under their warm key (:meth:`~repro.core.pipeline.Simulator.warm_key`),
+so later batches restore a warmup instead of running it again.  They
+are checked against :data:`CACHE_VERSION` like cells but do not count
+in the hit/miss stats, which stay about cells.
 """
 
 from __future__ import annotations
@@ -41,6 +50,9 @@ from typing import Any, Dict, Optional, Union
 #: v5: ``CoreConfig`` grew ``ports`` / ``ssr_threshold`` (mechanism
 #: design space) and ``CoreStats`` grew ``port_stalls`` — the config
 #: repr feeding keys changed shape, and v4 payloads lack the new field.
+#: The warm key does not cover the pickled layout of the warmed
+#: structures (``WARMED_STRUCTURES`` in ``repro.core.pipeline``), so a
+#: change to that layout needs a bump too.
 CACHE_VERSION = 5
 
 #: The exception set a corrupt or cross-version cache entry can raise
@@ -71,7 +83,8 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "loopsim"
 
 
-def cell_key(workload: str, config: Any, settings: Any, seed: int) -> str:
+def cell_key(workload: str, config: Any, settings: Any, seed: int,
+             signature: Optional[str] = None) -> str:
     """Stable content hash of one simulation cell.
 
     ``CoreConfig`` and ``ExperimentSettings`` are frozen dataclasses, so
@@ -85,16 +98,19 @@ def cell_key(workload: str, config: Any, settings: Any, seed: int) -> str:
     resolved *content signature*
     (:func:`repro.scenarios.workload_signature`): profile knobs and
     trace-file bytes feed the digest, so same-named workloads with
-    different content occupy different cells.
+    different content occupy different cells.  A caller keying many
+    cells of one workload may pass that ``signature`` in.
     """
-    from repro.scenarios import workload_signature
+    if signature is None:
+        from repro.scenarios import workload_signature
 
+        signature = workload_signature(workload)
     settings_repr = repr(settings).replace(repr(getattr(settings, "seeds", ())), "()")
     text = "|".join(
         (
             str(CACHE_VERSION),
             workload,
-            workload_signature(workload),
+            signature,
             repr(config),
             settings_repr,
             str(seed),
@@ -120,6 +136,10 @@ class ResultCache:
     def metrics_path(self, key: str) -> Path:
         """On-disk location of a cell's JSON metric snapshot."""
         return self.root / key[:2] / f"{key}.metrics.json"
+
+    def warm_path(self, warm_key: str) -> Path:
+        """On-disk location of a warm snapshot."""
+        return self.root / "warm" / warm_key[:2] / f"{warm_key}.pkl"
 
     def put_metrics(self, key: str, snapshot: Dict[str, Any]) -> None:
         """Persist a JSON metric snapshot beside the cell's payload.
@@ -151,14 +171,30 @@ class ResultCache:
         ``CACHE_VERSION`` is a hit; every call counts in the hit/miss
         stats.
         """
-        path = self.path(key)
+        payload = self._read(self.path(key))
+        if payload is None:
+            self.misses += 1
+            return None
+        self.hits += 1
+        return payload.get("result")
+
+    def get_warm(self, warm_key: str) -> Optional[bytes]:
+        """The warm snapshot stored under ``warm_key``, or None; not
+        counted in the hit/miss stats."""
+        payload = self._read(self.warm_path(warm_key))
+        if payload is None or payload.get("key") != warm_key:
+            return None
+        return payload.get("snapshot")
+
+    def _read(self, path: Path) -> Optional[Dict[str, Any]]:
+        """The payload at ``path`` if it is a readable entry of the
+        current ``CACHE_VERSION``, else None."""
         stat: Optional[os.stat_result] = None
         try:
             with path.open("rb") as handle:
                 stat = os.fstat(handle.fileno())
                 payload = pickle.load(handle)
         except FileNotFoundError:
-            self.misses += 1
             return None
         except _CORRUPT_ENTRY_ERRORS:
             # Corrupt entry (truncated write, unpicklable across
@@ -167,17 +203,14 @@ class ResultCache:
             # The set is deliberately narrow — a KeyboardInterrupt or a
             # genuine bug in a payload's __setstate__ must propagate,
             # not be eaten as a cache miss.
-            self.misses += 1
             self.corrupt_swallowed += 1
             self._remove_corrupt(path, stat)
             return None
         if not isinstance(payload, dict) or payload.get("version") != CACHE_VERSION:
             # A stale-version entry is a miss but not garbage: leave it
             # for put() to overwrite atomically after recomputation.
-            self.misses += 1
             return None
-        self.hits += 1
-        return payload.get("result")
+        return payload
 
     @staticmethod
     def _remove_corrupt(path: Path, stat: Optional[os.stat_result]) -> None:
@@ -204,11 +237,22 @@ class ResultCache:
 
     def put(self, key: str, result: Any, meta: Optional[Dict[str, Any]] = None) -> None:
         """Atomically persist ``result`` under ``key``."""
-        path = self.path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = {"version": CACHE_VERSION, "key": key, "result": result}
         if meta:
             payload.update(meta)
+        self._write(self.path(key), payload)
+
+    def put_warm(self, warm_key: str, snapshot: bytes) -> None:
+        """Atomically persist a warm snapshot under ``warm_key``."""
+        self._write(
+            self.warm_path(warm_key),
+            {"version": CACHE_VERSION, "key": warm_key, "snapshot": snapshot},
+        )
+
+    @staticmethod
+    def _write(path: Path, payload: Dict[str, Any]) -> None:
+        """Atomically pickle ``payload`` to ``path``."""
+        path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as handle:

@@ -16,9 +16,17 @@ Execution modes
   watchdog; a hung worker is killed and reported as
   :class:`~repro.errors.CellTimeoutError`, a dead one as
   :class:`~repro.errors.CellCrashError`.  A worker closes every
-  descriptor it inherited except its result pipe and restores default
-  signal handling, and on Linux it is killed with the process that
-  forked it, so no cell outlives its campaign or server.
+  descriptor it inherited except its pipe and restores default signal
+  handling, and on Linux it is killed with the process that forked
+  it, so no cell outlives its campaign or server.  A worker receives
+  its work and arguments pickled over that pipe, so it can run one
+  job after another: :func:`execute_cells` keeps one worker per
+  dispatch slot for the whole batch and closes them all before it
+  returns.  A crash, a watchdog kill or any failed reply retires the
+  worker, and the slot's next cell forks a fresh one.  A lone
+  :func:`run_cell` call (the campaign server's per-job path) forks one
+  worker for the cell.  Work or arguments that cannot be pickled fail
+  the cell with :class:`~repro.errors.ConfigError`.
 
 ``isolate="auto"`` picks process mode whenever a timeout or ``jobs > 1``
 asks for it, and ``isolate="inline"`` never forks.  Retryable failures
@@ -32,7 +40,12 @@ With a cache directory configured, finished cells are persisted through
 re-executing only the missing cells.  The cache is read once per cell,
 before it runs: :func:`execute_cells` reads each distinct cell of a
 batch, and the campaign server reads at intake.  :func:`run_cell` only
-writes.
+writes.  The same cache holds functional-warmup snapshots by warm key,
+so a batch restores a warmup an earlier batch ran instead of running it
+again (see :func:`execute_cells`).  A snapshot pickles the warmed
+structures, and the warm key does not cover their layout: changing the
+pickled layout of a warmed structure needs a
+:data:`~repro.harness.cache.CACHE_VERSION` bump.
 """
 
 from __future__ import annotations
@@ -40,11 +53,13 @@ from __future__ import annotations
 import functools
 import multiprocessing
 import os
+import pickle
 import signal
 import sys
+import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.backend import DEFAULT_BACKEND
@@ -163,9 +178,15 @@ class Cell:
     def label(self) -> str:
         """Human-readable cell identity for reports.  ``CoreConfig.label``
         is only the pipeline notation, so the first 8 hex digits of the
-        key tell apart configs that differ in anything else."""
-        return (f"{self.workload}/{self.config.label}/seed{self.seed}"
-                f"#{self.key[:8]}")
+        key tell apart configs that differ in anything else; a fault
+        spec can target a cell by that ``#`` suffix."""
+        return _label(self, self.key)
+
+
+def _label(cell: Cell, key: str) -> str:
+    """:attr:`Cell.label` of ``cell`` from its already computed ``key``."""
+    return (f"{cell.workload}/{cell.config.label}/seed{cell.seed}"
+            f"#{key[:8]}")
 
 
 @dataclass(frozen=True)
@@ -360,10 +381,11 @@ def _die_with_parent(parent: int) -> None:
     ``kill -9``'d server or campaign leaves no cell running.
 
     The signal fires when the *thread* that forked the worker exits.
-    Serve's executor threads and the dispatch threads of
-    :func:`execute_cells` outlive their cells, so in practice it fires
-    when the parent process dies.  A parent that died before the signal
-    was armed is caught by the ``getppid`` check.  A no-op off Linux.
+    Serve's executor threads outlive their cells, and
+    :func:`execute_cells` closes its workers before its dispatch
+    threads exit, so in practice it fires when the parent process dies.
+    A parent that died before the signal was armed is caught by the
+    ``getppid`` check.  A no-op off Linux.
     """
     prctl = _libc_prctl()
     if prctl is None:
@@ -373,20 +395,25 @@ def _die_with_parent(parent: int) -> None:
         os._exit(1)
 
 
-def _worker_main(conn, work, args: tuple, parent: int) -> None:
-    """Subprocess entry point: run ``work(*args)``, report through
-    ``conn``; ``parent`` is the pid of the process that forked it."""
+def _worker_main(conn, parent: int) -> None:
+    """Subprocess entry point: run each pickled ``(work, args)`` job
+    received on ``conn`` and send back its result or error, until the
+    pipe closes; ``parent`` is the pid of the process that forked it."""
     _reset_inherited_state(conn)
     _die_with_parent(parent)
-    try:
-        conn.send(("ok", work(*args)))
-    except BaseException as error:  # classified on the parent side
+    while True:
         try:
-            conn.send(("error", _encode_error(error)))
-        except BaseException:
-            pass
-    finally:
-        conn.close()
+            job = conn.recv_bytes()
+        except EOFError:
+            return
+        try:
+            work, args = pickle.loads(job)
+            conn.send(("ok", work(*args)))
+        except BaseException as error:  # classified on the parent side
+            try:
+                conn.send(("error", _encode_error(error)))
+            except BaseException:
+                return  # the parent sees the pipe close, as a crash
 
 
 def _mp_context():
@@ -395,53 +422,112 @@ def _mp_context():
     return multiprocessing.get_context("fork" if "fork" in methods else None)
 
 
+class _Worker:
+    """A forked worker process that runs jobs one at a time.
+
+    The first :meth:`run` forks it.  A job that fails in any way — a
+    crash, a watchdog kill, an error reply, work that cannot be sent —
+    retires the process, so the next :meth:`run` forks a fresh one.
+    """
+
+    def __init__(self) -> None:
+        self._process = None
+        self._conn = None
+
+    def _start(self) -> None:
+        ctx = _mp_context()
+        _libc_prctl()  # loaded before the fork, so the worker inherits it
+        parent_conn, child_conn = ctx.Pipe()
+        process = ctx.Process(
+            target=_worker_main, args=(child_conn, os.getpid()), daemon=True,
+        )
+        process.start()
+        child_conn.close()
+        self._process, self._conn = process, parent_conn
+
+    def run(self, what: str, work, args: tuple,
+            timeout: Optional[float]) -> Any:
+        """``work(*args)`` in the worker under a ``timeout``-second
+        watchdog; ``what`` names the work in timeout and crash errors."""
+        if self._process is None:
+            self._start()
+        process, conn = self._process, self._conn
+        try:
+            try:
+                conn.send((work, args))
+            except OSError as error:
+                raise CellCrashError(f"{what} worker is gone ({error})")
+            except Exception as error:
+                raise ConfigError(
+                    f"{what} cannot be sent to a worker "
+                    f"({type(error).__name__}: {error})"
+                )
+            # poll() wakes on data *or* EOF (worker death), so a crash is
+            # noticed immediately rather than after the full timeout.
+            if not conn.poll(timeout):
+                raise CellTimeoutError(
+                    f"{what} exceeded {timeout:.1f}s and was killed",
+                    timeout=timeout,
+                )
+            try:
+                status, payload = conn.recv()
+            except EOFError:
+                process.join()
+                raise CellCrashError(
+                    f"{what} worker died (exit code {process.exitcode})",
+                    exitcode=process.exitcode,
+                )
+        except BaseException:
+            self.close()
+            raise
+        if status == "ok":
+            return payload
+        self.close()
+        raise _decode_error(payload)
+
+    def close(self) -> None:
+        """SIGKILL the worker, if one runs, and reap it.  It holds
+        nothing that needs a graceful exit, and a join timeout would
+        bound nothing: the worker closed the sentinel pipe that ``join``
+        waits on."""
+        process, conn = self._process, self._conn
+        if process is None:
+            return
+        self._process = self._conn = None
+        conn.close()
+        process.kill()
+        process.join()
+
+
+class _Workers:
+    """The workers of one batch: one per dispatch thread, reused for
+    that thread's cells."""
+
+    def __init__(self) -> None:
+        self._by_thread: Dict[int, _Worker] = {}
+
+    def run(self, what: str, work, args: tuple,
+            timeout: Optional[float]) -> Any:
+        """:meth:`_Worker.run` on the calling thread's worker."""
+        worker = self._by_thread.setdefault(threading.get_ident(), _Worker())
+        return worker.run(what, work, args, timeout)
+
+    def close(self) -> None:
+        """Close every worker of the batch."""
+        for worker in self._by_thread.values():
+            worker.close()
+
+
 def _run_isolated(
     what: str, work, args: tuple, timeout: Optional[float]
 ) -> Any:
-    """Run ``work(*args)`` in a worker subprocess with a watchdog;
-    ``what`` names the work in timeout and crash errors."""
-    ctx = _mp_context()
-    _libc_prctl()  # loaded before the fork, so the worker inherits it
-    parent_conn, child_conn = ctx.Pipe(duplex=False)
-    process = ctx.Process(
-        target=_worker_main, args=(child_conn, work, args, os.getpid()),
-        daemon=True,
-    )
-    process.start()
-    child_conn.close()
+    """Run ``work(*args)`` in a worker forked for it alone, with a
+    watchdog; ``what`` names the work in timeout and crash errors."""
+    worker = _Worker()
     try:
-        # poll() wakes on data *or* EOF (worker death), so a crash is
-        # noticed immediately rather than after the full timeout.
-        if not parent_conn.poll(timeout):
-            _kill(process)
-            raise CellTimeoutError(
-                f"{what} exceeded {timeout:.1f}s and was killed",
-                timeout=timeout,
-            )
-        try:
-            status, payload = parent_conn.recv()
-        except EOFError:
-            process.join()
-            raise CellCrashError(
-                f"{what} worker died (exit code {process.exitcode})",
-                exitcode=process.exitcode,
-            )
-        process.join()
-        if status == "ok":
-            return payload
-        raise _decode_error(payload)
+        return worker.run(what, work, args, timeout)
     finally:
-        parent_conn.close()
-        if process.is_alive():
-            _kill(process)
-
-
-def _kill(process) -> None:
-    """SIGKILL a worker and reap it.  It holds nothing that needs a
-    graceful exit, and a join timeout would bound nothing: the worker
-    closed the sentinel pipe that ``join`` waits on."""
-    process.kill()
-    process.join()
+        worker.close()
 
 
 def _put_metrics_snapshot(cache: ResultCache, key: str, result: Any) -> None:
@@ -459,6 +545,9 @@ def run_cell(
     harness: Optional[HarnessSettings] = None,
     cache: Optional[ResultCache] = None,
     warm: Optional[bytes] = None,
+    *,
+    key: Optional[str] = None,
+    workers: Optional[_Workers] = None,
 ) -> CellOutcome:
     """Run one cell with isolation, watchdog and retries, and write its
     result to the cache.
@@ -468,26 +557,31 @@ def run_cell(
 
     ``warm`` is a functional-warmup snapshot with this cell's warm key
     (:func:`execute_cells` shares one across a batch); every attempt
-    restores it instead of warming.
+    restores it instead of warming.  ``key`` is the cell's key when the
+    caller has computed it.  In process mode, ``workers`` are the
+    batch's reusable workers; without them each attempt forks a worker
+    of its own.
     """
     harness = harness or default_harness()
     if cache is None and harness.cache_dir is not None:
         cache = ResultCache(harness.cache_dir)
+    key = key or cell.key
     faults = harness.all_faults()
     isolated = harness.uses_processes
     if isolated:
         _load_kernel(cell)
+        isolate = workers.run if workers is not None else _run_isolated
     attempts = 1 + harness.retries
     error: Optional[ReproError] = None
     for attempt in range(1, attempts + 1):
         fault = active_fault(
             faults, cell.workload, cell.config.label, cell.seed,
-            attempt, kinds=WORKER_KINDS,
+            attempt, kinds=WORKER_KINDS, key=key,
         )
         try:
             if isolated:
-                result = _run_isolated(
-                    f"cell {cell.label}", _attempt_cell,
+                result = isolate(
+                    f"cell {_label(cell, key)}", _attempt_cell,
                     (cell, fault, True, harness.verify, warm),
                     harness.cell_timeout,
                 )
@@ -507,7 +601,6 @@ def run_cell(
             error = WorkloadError(str(failure))
             break
         if cache is not None:
-            key = cell.key
             cache.put(
                 key,
                 result,
@@ -530,9 +623,10 @@ def execute_cells(
     """Execute a batch of cells, ``jobs`` at a time; never raises.
 
     Outcomes are returned in input order.  Duplicate cells (same content
-    key) are executed once and share the outcome.  With a cache
-    directory, each distinct cell is read from the cache once, here;
-    only the misses run (and :func:`run_cell` writes them).
+    key) are executed once and share the outcome.  Each distinct cell's
+    key and warm key are computed once.  With a cache directory, each
+    distinct cell is read from the cache once, here; only the misses
+    run (and :func:`run_cell` writes them).
 
     Cells missing from the cache that share a warm key
     (:meth:`~repro.core.pipeline.Simulator.warm_key`) — the same
@@ -540,49 +634,75 @@ def execute_cells(
     differing only in loop knobs — are functionally warmed once: the
     warmup is its own unit of work on the batch's worker slots, and its
     snapshot is restored into each of those cells.  A failed warmup
-    only means its cells warm themselves.
+    only means its cells warm themselves.  With a cache directory the
+    snapshot is stored under its warm key, and a later batch restores
+    it into every missing cell with that key, a lone one too, instead
+    of warming.
     """
+    from repro.scenarios import workload_signature
+
     harness = harness or default_harness()
     cache = ResultCache(harness.cache_dir) if harness.cache_dir else None
+    signature = functools.lru_cache(maxsize=None)(workload_signature)
+    keys: Dict[Cell, str] = {}
     unique: Dict[str, Cell] = {}
     for cell in cells:
-        unique.setdefault(cell.key, cell)
+        if cell not in keys:
+            key = keys[cell] = cell_key(
+                cell.workload, cell.config, cell.settings, cell.seed,
+                signature(cell.workload),
+            )
+            unique.setdefault(key, cell)
     by_key: Dict[str, CellOutcome] = {}
-    missing: List[Cell] = []
+    missing: Dict[Optional[str], List[Tuple[Cell, str]]] = {}
     for key, cell in unique.items():
         cached = cache.get(key) if cache is not None else None
         if cached is not None:
             by_key[key] = CellOutcome(cell=cell, result=cached, cached=True)
         else:
-            missing.append(cell)
-    shared, alone = _plan_warmups(missing)
-    if harness.jobs > 1 and len(missing) > 1:
+            missing.setdefault(_warm_key(cell, signature), []).append(
+                (cell, key))
+    warmups, ready = _plan_warmups(missing, cache)
+    if harness.jobs > 1 and len(unique) - len(by_key) > 1:
         pool = ThreadPoolExecutor(max_workers=harness.jobs)
     else:
         pool = _InlinePool()
+    workers = _Workers() if harness.uses_processes else None
     with pool:
-        # warmups take the first slots; lone cells fill the rest while
-        # they run, and each warmup queues its cells when it finishes
-        waves = [
-            pool.submit(_warm_then_run, pool, group, harness, cache)
-            for group in shared
-        ]
-        runs = [pool.submit(run_cell, cell, harness, cache) for cell in alone]
-        for wave in waves:
-            runs.extend(wave.result())
-        outcomes = [run.result() for run in runs]
+        try:
+            # warmups take the first slots; ready cells fill the rest
+            # while they run, and each warmup queues its cells when it
+            # finishes
+            waves = [
+                pool.submit(_warm_then_run, pool, warm_key, group, harness,
+                            cache, workers)
+                for warm_key, group in warmups
+            ]
+            runs = [
+                pool.submit(run_cell, cell, harness, cache, warm, key=key,
+                            workers=workers)
+                for cell, key, warm in ready
+            ]
+            for wave in waves:
+                runs.extend(wave.result())
+            outcomes = [run.result() for run in runs]
+        finally:
+            # before the dispatch threads exit: a worker's parent-death
+            # signal fires when the thread that forked it exits
+            if workers is not None:
+                workers.close()
     for outcome in outcomes:
-        by_key[outcome.cell.key] = outcome
-    return [by_key[cell.key] for cell in cells]
+        by_key[keys[outcome.cell]] = outcome
+    return [by_key[keys[cell]] for cell in cells]
 
 
 class _InlinePool:
     """``ThreadPoolExecutor.submit`` for one worker slot: the work runs
     at once on the calling thread."""
 
-    def submit(self, work, *args) -> Future:
+    def submit(self, work, *args, **kwargs) -> Future:
         future: Future = Future()
-        future.set_result(work(*args))
+        future.set_result(work(*args, **kwargs))
         return future
 
     def __enter__(self) -> "_InlinePool":
@@ -592,62 +712,80 @@ class _InlinePool:
         return None
 
 
-def _plan_warmups(cells: Sequence[Cell]) -> Tuple[List[List[Cell]], List[Cell]]:
-    """Split ``cells`` into groups of two or more sharing a warm key,
-    and the cells that warm alone."""
-    groups: Dict[str, List[Cell]] = {}
-    alone: List[Cell] = []
-    for cell in cells:
-        key = _warm_key(cell)
-        if key is None:
-            alone.append(cell)
+#: Missing cells of a batch as (cell, key) pairs.
+_Group = List[Tuple[Cell, str]]
+
+
+def _plan_warmups(
+    missing: Dict[Optional[str], _Group], cache: Optional[ResultCache],
+) -> Tuple[List[Tuple[str, _Group]], List[Tuple[Cell, str, Optional[bytes]]]]:
+    """Split the missing cells, grouped by warm key, into warmups
+    ``(warm key, group)`` — a key two or more cells share that the
+    cache holds no snapshot for — and cells ready to run ``(cell, key,
+    snapshot or None)``: those restoring a stored snapshot and those
+    that warm themselves."""
+    warmups: List[Tuple[str, _Group]] = []
+    ready: List[Tuple[Cell, str, Optional[bytes]]] = []
+    for warm_key, group in missing.items():
+        warm = None
+        if warm_key is not None and cache is not None:
+            warm = cache.get_warm(warm_key)
+        if warm is None and warm_key is not None and len(group) > 1:
+            warmups.append((warm_key, group))
         else:
-            groups.setdefault(key, []).append(cell)
-    shared = [group for group in groups.values() if len(group) > 1]
-    alone.extend(group[0] for group in groups.values() if len(group) == 1)
-    return shared, alone
+            ready.extend((cell, key, warm) for cell, key in group)
+    return warmups, ready
 
 
-def _warm_key(cell: Cell) -> Optional[str]:
+def _warm_key(cell: Cell, signature) -> Optional[str]:
     """The warm key ``cell`` would warm under; None when its warmup is
     empty or its workload or backend cannot be resolved (the cell then
-    fails on its own, with the real error)."""
+    fails on its own, with the real error).  ``signature`` maps a
+    workload name to its content signature."""
     from repro.core.backend import parse_backend
-    from repro.scenarios import workload_signature
 
     settings = cell.settings
     if settings.warmup <= 0:
         return None
-    signature = workload_signature(cell.workload)
-    if signature == "unresolved":
+    content = signature(cell.workload)
+    if content == "unresolved":
         return None
     try:
         kernel = parse_backend(getattr(settings, "backend", DEFAULT_BACKEND))
     except ConfigError:
         return None
     return kernel.simulator_class.warm_key(
-        cell.config, signature, cell.seed, settings.warmup
+        cell.config, content, cell.seed, settings.warmup
     )
 
 
 def _warm_then_run(
-    pool, group: List[Cell], harness: HarnessSettings,
-    cache: Optional[ResultCache],
+    pool, warm_key: str, group: _Group, harness: HarnessSettings,
+    cache: Optional[ResultCache], workers: Optional[_Workers],
 ) -> List[Future]:
-    """Warm ``group``'s shared state once, then queue its cells."""
+    """Warm ``group``'s shared state once, store the snapshot under
+    ``warm_key``, then queue its cells."""
+    first, first_key = group[0]
     try:
-        if harness.uses_processes:
-            _load_kernel(group[0])
-            warm = _run_isolated(
-                f"warmup for {group[0].label}", _warm_cell, (group[0],),
-                harness.cell_timeout,
+        if workers is not None:
+            _load_kernel(first)
+            warm = workers.run(
+                f"warmup for {_label(first, first_key)}", _warm_cell,
+                (first,), harness.cell_timeout,
             )
         else:
-            warm = _warm_cell(group[0])
+            warm = _warm_cell(first)
     except ReproError:
         # the cells warm themselves; run_cell then classifies, retries
         # and reports any failure per cell, exactly as without sharing
         warm = None
+    if warm is not None and cache is not None:
+        try:
+            cache.put_warm(warm_key, warm)
+        except OSError:
+            pass  # the cache is an accelerator, never worth failing a cell
     return [
-        pool.submit(run_cell, cell, harness, cache, warm) for cell in group
+        pool.submit(run_cell, cell, harness, cache, warm, key=key,
+                    workers=workers)
+        for cell, key in group
     ]

@@ -1,7 +1,10 @@
 """Fault injection for exercising the harness's own recovery paths.
 
-A :class:`FaultSpec` targets cells by workload, config label and seed
-and injects one of five failure modes into matching cells:
+A :class:`FaultSpec` targets cells by workload, config and seed and
+injects one of five failure modes into matching cells.  The config is
+matched by its pipeline label (``Base:5_5``) or, since several configs
+can share that label, by a ``#``-prefixed prefix of the cell key (the
+``#6f325c69`` that ends a cell's label in failure reports).  The modes:
 
 * ``hang`` — the worker sleeps forever; the watchdog must kill it
   (requires process isolation; the inline executor degrades it to a
@@ -29,6 +32,7 @@ fields may be omitted and ``*`` matches anything (``delay_s`` only
 means something for ``slow``), e.g.::
 
     REPRO_FAULTS="hang|swim|Base:5_5|0|1;crash|compress;slow|*|*|*|2|0.5"
+    REPRO_FAULTS="crash|swim|#6f325c69"     # one cell, by key prefix
 """
 
 from __future__ import annotations
@@ -67,6 +71,7 @@ class FaultSpec:
 
     kind: str
     workload: str = "*"
+    #: A ``CoreConfig.label``, or ``#`` and a prefix of the cell key.
     config_label: str = "*"
     seed: str = "*"
     #: Fire on attempt numbers <= this (1-based).
@@ -84,14 +89,33 @@ class FaultSpec:
             raise ConfigError("fault attempts must be >= 1")
         if self.delay_s < 0:
             raise ConfigError("fault delay_s cannot be negative")
+        prefix = self._key_prefix
+        if prefix is not None and not (
+            prefix and set(prefix) <= set("0123456789abcdef")
+        ):
+            raise ConfigError(
+                f"malformed fault key prefix {self.config_label!r}; "
+                "expected '#' and lower-case hex digits"
+            )
+
+    @property
+    def _key_prefix(self) -> Optional[str]:
+        """The cell-key prefix this spec targets, or None when it
+        targets a config label."""
+        if self.config_label.startswith("#"):
+            return self.config_label[1:]
+        return None
 
     def matches(self, workload: str, config_label: str, seed: int,
-                attempt: int) -> bool:
-        """Whether this fault fires for a cell on a given attempt."""
+                attempt: int, key: str = "") -> bool:
+        """Whether this fault fires for a cell on a given attempt;
+        ``key`` is the cell's key (:attr:`~repro.harness.Cell.key`)."""
+        prefix = self._key_prefix
         return (
             attempt <= self.attempts
             and self.workload in ("*", workload)
-            and self.config_label in ("*", config_label)
+            and (self.config_label in ("*", config_label) if prefix is None
+                 else key.startswith(prefix))
             and self.seed in ("*", str(seed))
         )
 
@@ -143,17 +167,19 @@ def active_fault(
     seed: int,
     attempt: int,
     kinds: Optional[Sequence[str]] = None,
+    key: str = "",
 ) -> Optional[FaultSpec]:
     """The first configured fault matching a cell attempt, if any.
 
     ``kinds`` restricts the search: the cell executor asks for
     :data:`WORKER_KINDS` and the service layer for :data:`SERVICE_KINDS`,
-    so one ``REPRO_FAULTS`` string can arm both layers at once.
+    so one ``REPRO_FAULTS`` string can arm both layers at once.  ``key``
+    is the cell key that ``#``-prefixed specs match.
     """
     for spec in faults:
         if kinds is not None and spec.kind not in kinds:
             continue
-        if spec.matches(workload, config_label, seed, attempt):
+        if spec.matches(workload, config_label, seed, attempt, key):
             return spec
     return None
 

@@ -498,14 +498,15 @@ class CampaignServer:
         return True
 
     def _maybe_disconnect(self, cell) -> bool:
-        count = self._disconnect_counts.get(cell.key, 0) + 1
+        key = cell.key
+        count = self._disconnect_counts.get(key, 0) + 1
         fault = active_fault(
             self.harness.all_faults(), cell.workload, cell.config.label,
-            cell.seed, count, kinds=SERVICE_KINDS,
+            cell.seed, count, kinds=SERVICE_KINDS, key=key,
         )
         if fault is None:
             return False
-        self._disconnect_counts[cell.key] = count
+        self._disconnect_counts[key] = count
         self._counters["disconnects_injected"].inc()
         return True
 

@@ -196,6 +196,11 @@ class TestErrorHandling:
         assert any(tmp_path.glob("*/*.pkl"))
 
 
+def _failed_label(line: str) -> str:
+    """The cell label a failure-report line starts with."""
+    return line.split(": ", 1)[0].strip()
+
+
 def _cheap_campaigns(monkeypatch):
     """Shrink the CLI's warmup, so a campaign of every ablation study
     stays cheap (tests also take ``no_backoff``)."""
@@ -238,6 +243,29 @@ class TestAblations:
         assert "30 cell(s) failed" in out
         # each failed cell is named apart, even where configs share a
         # pipeline label (the label carries a key suffix)
-        labels = [line.split(": ", 1)[0].strip()
+        labels = [_failed_label(line)
                   for line in out.splitlines() if "CellCrashError" in line]
         assert len(labels) == len(set(labels)) == 30
+
+    def test_key_prefix_fails_one_of_the_cells_sharing_a_label(
+        self, capsys, monkeypatch
+    ):
+        # 19 swim cells share the label swim/Base:5_5/seed0; a fault on
+        # the key prefix that ends one's label fails that cell alone
+        _cheap_campaigns(monkeypatch)
+        argv = ["ablations", "--instructions", "250", "--workloads", "swim"]
+        monkeypatch.setenv("REPRO_FAULTS", "crash|swim|*|*|99")
+        assert main(argv) == 1
+        shared = [_failed_label(line)
+                  for line in capsys.readouterr().out.splitlines()
+                  if "swim/Base:5_5/seed0#" in line]
+        assert len(shared) == len(set(shared)) == 19
+        target = shared[7]
+        prefix = target[target.index("#"):]
+        monkeypatch.setenv("REPRO_FAULTS", f"crash|swim|{prefix}|*|99")
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert out.count("Ablation:") == 10
+        assert "1 cell(s) failed" in out
+        assert [_failed_label(line) for line in out.splitlines()
+                if "CellCrashError" in line] == [target]

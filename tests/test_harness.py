@@ -6,6 +6,7 @@ failure report; and resume of an interrupted campaign reusing cached
 cells.  Simulation cells are tiny so the subprocess paths stay fast.
 """
 
+import dataclasses
 import multiprocessing
 import os
 import pickle
@@ -41,6 +42,7 @@ from repro.harness import (
     parse_faults,
     run_cell,
 )
+from repro.harness import executor as executor_mod
 from repro.harness.executor import _run_isolated
 
 TINY = ExperimentSettings(instructions=250, warmup=2_000, detailed_warmup=80)
@@ -234,6 +236,25 @@ class TestFaultSpecs:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
             FaultSpec("meltdown")
+
+    def test_key_prefix_targets_one_of_a_shared_label(self):
+        # two configs with one pipeline label; the key prefix that ends
+        # Cell.label tells them apart
+        wide = tiny_cell(config=CoreConfig.base(iq_entries=64))
+        narrow = tiny_cell()
+        assert wide.config.label == narrow.config.label
+        [spec] = parse_faults(f"crash|m88ksim|#{wide.key[:8]}")
+        assert spec.encode().startswith(f"crash|m88ksim|#{wide.key[:8]}|")
+        label = wide.config.label
+        assert spec.matches("m88ksim", label, 0, 1, key=wide.key)
+        assert not spec.matches("m88ksim", label, 0, 1, key=narrow.key)
+        assert not spec.matches("m88ksim", label, 0, 1)  # no key given
+        assert wide.label.endswith(spec.config_label)
+
+    @pytest.mark.parametrize("prefix", ["#", "#XYZ", "#6F32"])
+    def test_malformed_key_prefix_rejected(self, prefix):
+        with pytest.raises(ConfigError, match="key prefix"):
+            parse_faults(f"crash|swim|{prefix}")
 
     def test_slow_parse_round_trip(self):
         specs = parse_faults("slow|*|*|*|2|0.5;slow|swim")
@@ -497,6 +518,102 @@ class TestWorkerSpawning:
         while _running(worker) and time.monotonic() < deadline:
             time.sleep(0.05)
         assert not _running(worker), "forked worker outlived its parent"
+
+
+#: Six cells on three warm keys: a jobs=2 batch runs warmups and cells.
+REUSE_CELLS = [
+    tiny_cell(workload, config)
+    for workload in ("m88ksim", "swim", "compress")
+    for config in (BASE, CoreConfig.with_dra(5))
+]
+
+
+@pytest.fixture(scope="module")
+def inline_stats():
+    """The stats of :data:`REUSE_CELLS` run inline."""
+    outcomes = execute_cells(REUSE_CELLS, HarnessSettings(isolate="inline"))
+    return [outcome.result.stats for outcome in outcomes]
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """Pids of the processes forked while the test runs."""
+    pids = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def recorded(process):
+        start(process)
+        pids.append(process.pid)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", recorded)
+    return pids
+
+
+def _assert_reaped(pids) -> None:
+    """No forked worker is left running, or unreaped."""
+    assert pids
+    assert not any(_running(pid) for pid in pids)
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.usefixtures("no_backoff")
+class TestWorkerReuse:
+    """A batch's forked workers run one cell after another."""
+
+    def test_batch_forks_at_most_one_worker_per_slot(
+        self, forked, inline_stats
+    ):
+        outcomes = execute_cells(REUSE_CELLS, HarnessSettings(jobs=2))
+        assert [o.attempts for o in outcomes] == [1] * len(REUSE_CELLS)
+        assert [o.result.stats for o in outcomes] == inline_stats
+        # 3 warmups and 6 cells, on at most 2 workers
+        assert len(forked) <= 2
+        _assert_reaped(forked)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("kind", ["crash", "hang", "transient"])
+    def test_fault_retires_only_its_worker(
+        self, kind, jobs, forked, inline_stats
+    ):
+        target = REUSE_CELLS[2]
+        harness = HarnessSettings(
+            jobs=jobs, cell_timeout=3.0 if kind == "hang" else 60.0,
+            faults=(FaultSpec(kind, config_label=f"#{target.key[:8]}"),),
+        )
+        outcomes = execute_cells(REUSE_CELLS, harness)
+        assert [o.attempts for o in outcomes] == [1, 1, 2, 1, 1, 1]
+        assert [o.result.stats for o in outcomes] == inline_stats
+        # one retired worker: one fork beyond the slots (exactly, with
+        # one slot)
+        if jobs == 1:
+            assert len(forked) == 2
+        else:
+            assert len(forked) <= 3
+        _assert_reaped(forked)
+
+    def test_unpicklable_arguments_fail_their_cell(self, forked):
+        @dataclasses.dataclass(frozen=True)
+        class LocalSettings(ExperimentSettings):
+            """Pickle cannot find a class defined in a function."""
+
+        local = Cell("m88ksim", BASE, LocalSettings(
+            instructions=250, warmup=2_000, detailed_warmup=80), 0)
+        outcomes = execute_cells(
+            [local, REUSE_CELLS[2]], HarnessSettings(jobs=2))
+        assert isinstance(outcomes[0].error, ConfigError)
+        assert "cannot be sent to a worker" in str(outcomes[0].error)
+        assert outcomes[0].attempts == 1
+        assert outcomes[1].ok
+        _assert_reaped(forked)
+
+    def test_unpicklable_work_fails_every_cell(self, monkeypatch, forked):
+        attempt = executor_mod._attempt_cell
+        monkeypatch.setattr(executor_mod, "_attempt_cell",
+                            lambda *args: attempt(*args))
+        outcomes = execute_cells(REUSE_CELLS[:3], HarnessSettings(jobs=2))
+        assert all(isinstance(o.error, ConfigError) for o in outcomes)
+        assert [o.attempts for o in outcomes] == [1, 1, 1]
+        _assert_reaped(forked)
 
 
 @pytest.mark.usefixtures("no_backoff")

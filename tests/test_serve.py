@@ -313,12 +313,14 @@ class TestServerEndToEnd:
         assert second.ipc == first.ipc
 
     def test_fresh_submit_reads_the_cache_once(self, tmp_path):
-        # intake reads the cache; the worker's run_cell only writes it
+        # intake reads the cache; the worker's run_cell only writes it,
+        # and a job has no shared warmup to store
         with ServerThread(serve_settings(tmp_path)) as st:
             with CampaignClient(port=st.port) as client:
                 reply = client.submit("m88ksim", **TINY)
             assert reply.ok and not reply.cached
             assert (st.server.cache.hits, st.server.cache.misses) == (0, 1)
+        assert not list((tmp_path / "cache").glob("warm/*/*.pkl"))
 
     def test_concurrent_identical_submits_coalesce(self, tmp_path):
         # Hold the one execution open with a slow fault so both clients
@@ -458,6 +460,21 @@ class TestServerEndToEnd:
         assert reply.reconnects >= 1
         # The retry rode the cache/dedup path to the same bytes.
         assert reply.ipc == direct.ipc
+
+    def test_disconnect_targets_one_cell_by_key_prefix(self, tmp_path):
+        # a key prefix picks out one of two cells that share a config
+        # label; the other is delivered on the first try
+        target = f"#{tiny_cell(seed=1).key[:8]}"
+        settings = serve_settings(tmp_path, faults=[
+            FaultSpec("disconnect", config_label=target, attempts=1)])
+        with ServerThread(settings) as st:
+            with CampaignClient(port=st.port, retry_delay=0.05) as client:
+                replies = [client.submit("m88ksim", seed=seed, **TINY)
+                           for seed in (0, 1)]
+            assert st.counter("disconnects_injected") == 1
+        assert all(reply.ok for reply in replies)
+        assert replies[0].reconnects == 0
+        assert replies[1].reconnects >= 1
 
     def test_invalid_specs_get_error_replies(self, tmp_path):
         with ServerThread(serve_settings(tmp_path)) as st:

@@ -11,11 +11,21 @@ shared key without changing any outcome.  The cycle-for-cycle law
 import dataclasses
 import os
 import pickle
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import repro.scenarios
 from repro.core import CoreConfig, LoadRecovery
-from repro.core.backend import BACKENDS
+from repro.core.backend import (
+    BACKENDS,
+    KernelBackend,
+    RetireStreamRecorder,
+    parse_backend,
+)
 from repro.core.config import DRAConfig, PortConfig
 from repro.core.memdep import MemDepPolicy
 from repro.core.pipeline import Simulator
@@ -29,6 +39,8 @@ from repro.workloads import workload_profiles
 
 WARMUP = 1_500
 TINY = ExperimentSettings(instructions=300, warmup=3_000, detailed_warmup=80)
+#: TINY's warmup with a longer window: other cells on TINY's warm keys.
+LONGER = dataclasses.replace(TINY, instructions=450)
 
 #: Every ``CoreConfig`` leaf field (nested dataclasses walked) ->
 #: (shapes the warmed state, a valid different value).  A field missing
@@ -227,20 +239,39 @@ KNOB_CONFIGS = (
 )
 
 
-def _cells(workloads=("int_test",)):
+def _cells(workloads=("int_test",), settings=TINY):
     return [
-        Cell(workload=workload, config=config, settings=TINY, seed=0)
+        Cell(workload=workload, config=config, settings=settings, seed=0)
         for workload in workloads
         for config in KNOB_CONFIGS
     ]
 
 
+def _exit_worker(cell):
+    os._exit(3)
+
+
 def _fresh(cell):
+    settings = cell.settings
     return simulate(
-        cell.workload, cell.config, instructions=TINY.instructions,
-        warmup=TINY.warmup, detailed_warmup=TINY.detailed_warmup,
+        cell.workload, cell.config, instructions=settings.instructions,
+        warmup=settings.warmup, detailed_warmup=settings.detailed_warmup,
         seed=cell.seed,
     ).stats
+
+
+def _fresh_run(cell):
+    """(CoreStats, retire stream) of ``cell`` warmed afresh."""
+    settings = cell.settings
+    kernel = parse_backend(settings.backend)
+    sim = kernel.simulator_class(
+        cell.config, workload_profiles(cell.workload), seed=cell.seed)
+    recorder = RetireStreamRecorder()
+    recorder.install(sim)
+    sim.functional_warmup(settings.warmup)
+    stats = kernel.run(sim, settings.instructions,
+                       warmup=settings.detailed_warmup)
+    return stats, recorder.stream
 
 
 @pytest.fixture
@@ -257,6 +288,24 @@ def warmups(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def retire_streams(monkeypatch):
+    """The retire stream of every simulator a backend builds in this
+    process, in build order."""
+    streams = []
+    build = KernelBackend.build
+
+    def recorded(backend, config, profiles, seed=0):
+        sim = build(backend, config, profiles, seed=seed)
+        recorder = RetireStreamRecorder()
+        recorder.install(sim)
+        streams.append(recorder.stream)
+        return sim
+
+    monkeypatch.setattr(KernelBackend, "build", recorded)
+    return streams
+
+
 class TestBatchSharing:
     def test_inline_batch_warms_once_per_key(self, warmups):
         cells = _cells(("int_test", "swim")) + [
@@ -271,19 +320,20 @@ class TestBatchSharing:
             assert outcome.result.stats == _fresh(cell), cell.label
 
     def test_process_batch_warms_once_in_a_worker(self, monkeypatch):
-        isolated = []
-        real = executor_mod._run_isolated
+        # every job a worker runs is sent through _Worker.run
+        sent = []
+        real = executor_mod._Worker.run
 
-        def recorded(what, work, args, timeout):
-            isolated.append(what)
-            return real(what, work, args, timeout)
+        def recorded(worker, what, work, args, timeout):
+            sent.append(what)
+            return real(worker, what, work, args, timeout)
 
-        monkeypatch.setattr(executor_mod, "_run_isolated", recorded)
+        monkeypatch.setattr(executor_mod._Worker, "run", recorded)
         cells = _cells()
         outcomes = execute_cells(cells, HarnessSettings(jobs=2))
-        assert [w for w in isolated if w.startswith("warmup")] == [
+        assert [w for w in sent if w.startswith("warmup")] == [
             f"warmup for {cells[0].label}"]
-        assert len(isolated) == 1 + len(cells)
+        assert len(sent) == 1 + len(cells)
         for cell, outcome in zip(cells, outcomes):
             assert outcome.ok
             assert outcome.result.stats == _fresh(cell), cell.label
@@ -301,17 +351,37 @@ class TestBatchSharing:
         cells = _cells()
         first = execute_cells(cells + cells[:2], harness)
         assert len(warmups) == 1
+        # every file the cache reads, cell entries and warm entries alike
         reads = []
-        real_get = ResultCache.get
+        real_read = ResultCache._read
         monkeypatch.setattr(
-            ResultCache, "get",
-            lambda cache, key: reads.append(key) or real_get(cache, key),
+            ResultCache, "_read",
+            lambda cache, path: reads.append(path) or real_read(cache, path),
         )
         again = execute_cells(cells + cells[:2], harness)
         assert len(warmups) == 1
-        assert sorted(reads) == sorted(cell.key for cell in cells)
+        cache = ResultCache(tmp_path)
+        assert sorted(reads) == sorted(cache.path(cell.key) for cell in cells)
         assert all(outcome.cached for outcome in again)
         assert [o.result.stats for o in again] == [o.result.stats for o in first]
+
+    def test_keys_are_computed_once_per_batch(self, monkeypatch):
+        counts = Counter()
+
+        def counted(name, real):
+            return lambda *args: counts.update([name]) or real(*args)
+
+        monkeypatch.setattr(executor_mod, "cell_key",
+                            counted("cell key", executor_mod.cell_key))
+        monkeypatch.setattr(executor_mod, "_warm_key",
+                            counted("warm key", executor_mod._warm_key))
+        monkeypatch.setattr(
+            repro.scenarios, "workload_signature",
+            counted("signature", repro.scenarios.workload_signature))
+        cells = _cells(("int_test", "swim"))
+        outcomes = execute_cells(cells + cells[:3], HarnessSettings(jobs=2))
+        assert all(outcome.ok for outcome in outcomes)
+        assert counts == {"cell key": 10, "warm key": 10, "signature": 2}
 
     def test_failed_warmup_changes_no_outcome(self, monkeypatch, no_backoff):
         # a cell fault on attempt 1 must still be attempt 1 of that
@@ -350,10 +420,118 @@ class TestBatchSharing:
     def test_crashed_warm_worker_leaves_cells_to_warm_themselves(
         self, monkeypatch
     ):
-        monkeypatch.setattr(executor_mod, "_warm_cell",
-                            lambda cell: os._exit(3))
+        # a module-level function: a worker receives its work pickled
+        monkeypatch.setattr(executor_mod, "_warm_cell", _exit_worker)
         cells = _cells()[:3]
         outcomes = execute_cells(cells, HarnessSettings(jobs=2, retries=0))
         for cell, outcome in zip(cells, outcomes):
             assert outcome.ok and outcome.attempts == 1
             assert outcome.result.stats == _fresh(cell), cell.label
+
+
+# ---------------------------------------------------------------------------
+# Warm snapshots in the result cache
+# ---------------------------------------------------------------------------
+
+#: Runs a batch on a cache directory in a fresh interpreter and pickles
+#: (warmups run, each cell's CoreStats, each built simulator's retire
+#: stream) to the output path.
+CHILD_BATCH = """
+import pickle, sys
+from repro.core.backend import KernelBackend, RetireStreamRecorder
+from repro.core.pipeline import Simulator
+from repro.harness import HarnessSettings, execute_cells
+
+cache_dir, cells_path, out_path = sys.argv[1:]
+warmups, streams = [], []
+warm, build = Simulator.functional_warmup, KernelBackend.build
+
+def counted(sim, ops):
+    warmups.append(ops)
+    return warm(sim, ops)
+
+def recorded(backend, *args, **kwargs):
+    sim = build(backend, *args, **kwargs)
+    recorder = RetireStreamRecorder()
+    recorder.install(sim)
+    streams.append(recorder.stream)
+    return sim
+
+Simulator.functional_warmup = counted
+KernelBackend.build = recorded
+with open(cells_path, "rb") as handle:
+    cells = pickle.load(handle)
+outcomes = execute_cells(
+    cells, HarnessSettings(isolate="inline", cache_dir=cache_dir))
+with open(out_path, "wb") as handle:
+    pickle.dump((len(warmups), [o.result.stats for o in outcomes], streams),
+                handle)
+"""
+
+
+class TestWarmCache:
+    """Snapshots stored under their warm key serve later batches."""
+
+    def harness(self, tmp_path):
+        return HarnessSettings(isolate="inline", cache_dir=str(tmp_path))
+
+    def test_later_batch_restores_instead_of_warming(
+        self, tmp_path, warmups, retire_streams
+    ):
+        execute_cells(_cells(), self.harness(tmp_path))
+        assert len(warmups) == 1
+        # new cells on the stored key, and a lone one, run no warm job
+        cells = _cells(settings=LONGER)
+        lone = Cell("int_test", KNOB_CONFIGS[0],
+                    dataclasses.replace(TINY, instructions=200), 0)
+        retire_streams.clear()
+        outcomes = execute_cells(cells, self.harness(tmp_path))
+        [alone] = execute_cells([lone], self.harness(tmp_path))
+        assert len(warmups) == 1
+        streams = list(retire_streams)
+        fresh = [_fresh_run(cell) for cell in cells + [lone]]
+        assert [o.result.stats for o in outcomes + [alone]] == [
+            stats for stats, _ in fresh]
+        assert streams == [stream for _, stream in fresh]
+
+    def test_second_process_restores_instead_of_warming(self, tmp_path):
+        execute_cells(_cells(), self.harness(tmp_path / "cache"))
+        cells = _cells(settings=LONGER)
+        cells_path, out_path = tmp_path / "cells.pkl", tmp_path / "out.pkl"
+        cells_path.write_bytes(pickle.dumps(cells))
+        src = Path(__file__).resolve().parent.parent / "src"
+        subprocess.run(
+            [sys.executable, "-c", CHILD_BATCH, str(tmp_path / "cache"),
+             str(cells_path), str(out_path)],
+            env=dict(os.environ, PYTHONPATH=str(src)), check=True, timeout=120,
+        )
+        warmed, batch_stats, streams = pickle.loads(out_path.read_bytes())
+        assert warmed == 0
+        fresh = [_fresh_run(cell) for cell in cells]
+        assert batch_stats == [stats for stats, _ in fresh]
+        assert streams == [stream for _, stream in fresh]
+
+    @pytest.mark.parametrize("damage", ["corrupt", "other-version"])
+    def test_damaged_entry_is_a_miss_and_warms_again(
+        self, tmp_path, warmups, damage
+    ):
+        execute_cells(_cells(), self.harness(tmp_path))
+        [path] = tmp_path.glob("warm/*/*.pkl")
+        cache = ResultCache(tmp_path)
+        warm_key = path.stem
+        snapshot = cache.get_warm(warm_key)
+        assert snapshot is not None
+        if damage == "corrupt":
+            path.write_bytes(path.read_bytes()[:100])
+        else:
+            path.write_bytes(pickle.dumps(
+                {"version": -1, "key": warm_key, "snapshot": snapshot}))
+        assert cache.get_warm(warm_key) is None
+        # warm reads are not counted as cell hits or misses
+        assert (cache.hits, cache.misses) == (0, 0)
+        cells = _cells(settings=LONGER)
+        outcomes = execute_cells(cells, self.harness(tmp_path))
+        assert len(warmups) == 2
+        assert [o.result.stats for o in outcomes] == [
+            _fresh(cell) for cell in cells]
+        assert cache.get_warm(warm_key) is not None  # stored again
